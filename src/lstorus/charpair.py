@@ -157,10 +157,6 @@ def validate_characteristic(cp: CharacteristicPair) -> ValidityReport:
     return ValidityReport(not violations, tuple(violations))
 
 
-def is_valid_pair(cp: CharacteristicPair) -> bool:
-    return cp.poset.validate().valid and validate_characteristic(cp).valid
-
-
 def local_signature(cp: CharacteristicPair, fid: str) -> tuple[int, int, int]:
     """Chart dimensions (n, k - n, d - n) at the stratum fid."""
     n = cp.poset.codim(fid)

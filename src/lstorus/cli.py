@@ -7,8 +7,11 @@ equivalent, tolerance failure), 2 on parse/usage/resource errors.  Reports
 can also be written to a file, atomically, with --output.  Input files are
 never modified.
 
-The census honors the LSTORUS_THREADS environment variable; output is
-byte-identical for any thread count.
+The census still reads and validates the LSTORUS_THREADS environment
+variable (a positive integer, else a "census" error with exit 2), but runs
+single-threaded whatever its value: the search is CPU-bound Python, and the
+former thread pool gained nothing on 2 CPUs (see the census module).
+Output is byte-identical for any value.
 """
 
 from __future__ import annotations
@@ -68,17 +71,16 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _threads() -> int:
+def _check_threads_env() -> None:
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
-        return 1
+        return
     try:
         value = int(raw)
     except ValueError:
         raise CensusError(f"{THREADS_ENV} must be an integer, got {raw!r}")
     if value < 1:
         raise CensusError(f"{THREADS_ENV} must be >= 1, got {value}")
-    return value
 
 
 def _verdict_object(verdict: Verdict) -> dict:
@@ -223,7 +225,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         _emit(_error_report(command, "document", exc), args.output)
         return 2
     try:
-        threads = _threads()
+        _check_threads_env()
         spec = CensusSpec(
             poset=doc.poset,
             k=args.k,
@@ -231,7 +233,7 @@ def cmd_census(args: argparse.Namespace) -> int:
             dedup=args.dedup,
             budget=args.budget,
         )
-        result = enumerate_census(spec, threads=threads)
+        result = enumerate_census(spec)
     except BudgetExceededError as exc:
         report = _error_report(command, "budget", exc)
         report["error"]["estimate"] = exc.estimate

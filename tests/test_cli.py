@@ -272,6 +272,22 @@ def test_census_bad_thread_env(capsys, monkeypatch):
     assert code == 2
 
 
+def test_census_more_facets_than_recursion_limit(capsys, tmp_path):
+    facets = [f"F{i:04d}" for i in range(1500)]
+    doc = {
+        "dim_orbit": 1,
+        "faces": [{"id": "T", "codim": 0}] + [{"id": f, "codim": 1} for f in facets],
+        "covers": [[f, "T"] for f in facets],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run_cli(
+        capsys, "census", "--poset", str(path), "--k", "1", "--bound", "1"
+    )
+    assert code == 0
+    assert report["total_valid"] == 1
+
+
 def test_localcheck_passes_and_is_deterministic(capsys):
     args = [
         "localcheck",
