@@ -30,8 +30,10 @@ from .lattice import (
     PrimitiveVector,
     apply_auto,
     canonical_sign,
+    coords_in_basis,
     det_int,
     hnf_with_transform,
+    saturate,
     solve_unimodular,
     transpose,
 )
@@ -104,8 +106,11 @@ class _SearchPoset:
             )
 
 
-def _joint_refine(structs: Sequence[_SearchPoset]) -> list[dict[str, int]]:
-    """Stable color refinement with ids shared across all the structs.
+def _joint_refine(
+    structs: Sequence[_SearchPoset], init_keys: Sequence[dict[str, tuple]]
+) -> list[dict[str, int]]:
+    """Stable color refinement with ids shared across all the structs,
+    starting from the given per-struct keys.
 
     Keys are comparable tuples and each round keeps the previous color as
     the leading component, so dense re-indexing preserves the color order
@@ -120,7 +125,7 @@ def _joint_refine(structs: Sequence[_SearchPoset]) -> list[dict[str, int]]:
             for s, ks in zip(structs, keys)
         ]
 
-    colors = intern_round([[s.init_key[f] for f in s.ids] for s in structs])
+    colors = intern_round([[ks[f] for f in s.ids] for s, ks in zip(structs, init_keys)])
     while True:
         keys = []
         for s, col in zip(structs, colors):
@@ -153,7 +158,7 @@ def _iso_candidates(
     """Yield poset isomorphisms (mate-consistent) in deterministic order."""
     if len(sa.ids) != len(sb.ids):
         return
-    col_a, col_b = _joint_refine([sa, sb])
+    col_a, col_b = _joint_refine([sa, sb], [sa.init_key, sb.init_key])
     if _histogram(col_a) != _histogram(col_b):
         return
 
@@ -270,7 +275,8 @@ def strong_equivalence(a: CharacteristicPair, b: CharacteristicPair) -> Verdict:
     for phi in _iso_candidates(sa, sb):
         if all(labels_a[f] == labels_b[phi[f]] for f in labels_a):
             witness = IsoWitness(phi=phi, auto=None)
-            assert verify_witness(a, b, witness, "strong")
+            if not verify_witness(a, b, witness, "strong"):
+                raise RuntimeError("internal: strong witness failed re-verification")
             return Verdict(
                 True,
                 "strong",
@@ -311,7 +317,8 @@ def weak_equivalence(a: CharacteristicPair, b: CharacteristicPair) -> Verdict:
         if sol is None:
             continue
         witness = IsoWitness(phi=phi, auto=sol.matrix)
-        assert verify_witness(a, b, witness, "weak")
+        if not verify_witness(a, b, witness, "weak"):
+            raise RuntimeError("internal: weak witness failed re-verification")
         return Verdict(
             True,
             "weak",
@@ -418,23 +425,6 @@ def _canon_strong(cp: CharacteristicPair) -> str:
         )
         return f"k={cp.k}|d={cp.dim_orbit}|c={codims}|cov={cov}|lam={lam}"
 
-    def refine(colors: dict[str, object]) -> dict[str, int]:
-        col = _intern({f: colors[f] for f in struct.ids})
-        while True:
-            sig = {
-                f: (
-                    col[f],
-                    tuple(sorted(col[g] for g in struct.up[f])),
-                    tuple(sorted(col[g] for g in struct.down[f])),
-                    tuple(sorted(col[g] for g in struct.mates[f])),
-                )
-                for f in struct.ids
-            }
-            new = _intern(sig)
-            if new == col:
-                return col
-            col = new
-
     def descend(col: dict[str, int]) -> str:
         cells: dict[int, list[str]] = {}
         for f, c in col.items():
@@ -449,18 +439,13 @@ def _canon_strong(cp: CharacteristicPair) -> str:
             return serialize(order)
         best = None
         for f in sorted(cells[target]):
-            branched = refine({g: (col[g], 1 if g == f else 0) for g in struct.ids})
-            s = descend(branched)
+            keys = {g: (col[g], 1 if g == f else 0) for g in struct.ids}
+            s = descend(_joint_refine([struct], [keys])[0])
             if best is None or s < best:
                 best = s
         return best
 
-    return descend(refine(dict(struct.init_key)))
-
-
-def _intern(keyed: dict[str, tuple]) -> dict[str, int]:
-    table = {k: i for i, k in enumerate(sorted(set(keyed.values())))}
-    return {f: table[k] for f, k in keyed.items()}
+    return descend(_joint_refine([struct], [struct.init_key])[0])
 
 
 def _canon_weak(cp: CharacteristicPair) -> str:
@@ -469,8 +454,6 @@ def _canon_weak(cp: CharacteristicPair) -> str:
     if not labels:
         bare = CharacteristicPair(cp.poset, cp.k, {})
         return f"{head}|r=0|{_canon_strong(bare)}"
-
-    from .lattice import coords_in_basis, saturate
 
     rows = tuple(v.coords for v in labels.values())
     sat = saturate(rows)
@@ -513,14 +496,17 @@ def _row_transform(v: tuple[int, ...], t: Matrix) -> tuple[int, ...]:
     )
 
 
-def _frame_transform(frame: Sequence[tuple[int, ...]]) -> Matrix:
-    """Transform T sending the frame rows to their column-Hermite image.
+def _frame_transform(frame: Sequence[tuple[int, ...]]) -> Optional[Matrix]:
+    """Transform T sending the frame rows to their column-Hermite image, or
+    None when the square frame is rationally dependent.
 
     For the row-stacked frame B there is a unique decomposition B = H @ W
     with W unimodular and H the canonical column-form; T = W^{-1} makes
     B @ T = H, so T is equivariant under right multiplication.
     """
-    _, u = hnf_with_transform(transpose(tuple(frame)))
+    h, u = hnf_with_transform(transpose(tuple(frame)))
+    if not any(h[-1]):
+        return None
     return transpose(u)
 
 
@@ -532,8 +518,8 @@ def _weak_transforms(
     """Equivariant family of GL(r, Z) relabelings to minimize over.
 
     Frames come from the facet stars of full-rank (codimension == k) faces
-    when those exist; otherwise from every rationally independent ordered
-    tuple of signed distinct label vectors.
+    when those exist; otherwise from every ordered tuple of signed distinct
+    label vectors.  Dependent frames are skipped.
     """
     frames: list[tuple[tuple[int, ...], ...]] = []
     full_rank_faces = (
@@ -554,31 +540,10 @@ def _weak_transforms(
     else:
         distinct = sorted({v.coords for v in coord_labels.values()})
         signed = [row for v in distinct for row in ((v), tuple(-x for x in v))]
-        for combo in itertools.permutations(signed, r):
-            if _rational_rank_rows(combo) == r:
-                frames.append(tuple(combo))
+        frames.extend(itertools.permutations(signed, r))
     out: dict[Matrix, None] = {}
     for frame in frames:
-        if _rational_rank_rows(frame) < r:
-            continue
-        out.setdefault(_frame_transform(frame))
+        t = _frame_transform(frame)
+        if t is not None:
+            out.setdefault(t)
     return sorted(out)
-
-
-def _rational_rank_rows(rows: Sequence[tuple[int, ...]]) -> int:
-    from fractions import Fraction
-
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c] / mat[rank][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank

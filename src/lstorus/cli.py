@@ -3,9 +3,11 @@
 Subcommands: validate, iso, canon, census, localcheck.  Every run prints a
 JSON report to stdout (valid JSON on error paths too) and exits 0 on
 success, 1 on a negative-but-well-formed outcome (invalid pair, not
-equivalent, tolerance failure), 2 on parse/usage/resource errors.  Reports
-can also be written to a file, atomically, with --output.  Input files are
-never modified.
+equivalent, tolerance failure), 2 on parse/usage/resource errors.  Command
+line errors give a "usage" error report and any unexpected exception an
+"internal" one, both with exit 2 and nothing on stderr; --help alone prints
+plain text.  Reports can also be written to a file, atomically, with
+--output.  Input files are never modified.
 
 The census still reads and validates the LSTORUS_THREADS environment
 variable (a positive integer, else a "census" error with exit 2), but runs
@@ -49,6 +51,21 @@ from .localmodel import LocalModelError, run_local_checks
 THREADS_ENV = "LSTORUS_THREADS"
 
 
+class _UsageError(Exception):
+    def __init__(self, message: str, prog: str):
+        super().__init__(message)
+        # Subcommand parsers are named "lstorus <command>".
+        self.command = prog.partition(" ")[2] or None
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Parser that raises on a command line error instead of printing usage
+    to stderr and exiting, so main() can report it as JSON."""
+
+    def error(self, message: str):
+        raise _UsageError(message, self.prog)
+
+
 def _emit(report: dict, output: Optional[str]) -> None:
     text = canonical_json(report)
     sys.stdout.write(text)
@@ -56,7 +73,7 @@ def _emit(report: dict, output: Optional[str]) -> None:
         write_atomic(output, text)
 
 
-def _error_report(command: str, kind: str, exc: Exception) -> dict:
+def _error_report(command: Optional[str], kind: str, exc: Exception) -> dict:
     error: dict = {"type": kind, "message": str(exc)}
     if isinstance(exc, DocumentError):
         if exc.line is not None:
@@ -288,7 +305,7 @@ def cmd_localcheck(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lstorus",
         description=(
             "Validate, compare, enumerate, and numerically check "
@@ -336,8 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _emit(_error_report(exc.command, "usage", exc), None)
+        return 2
+    try:
+        return args.func(args)
+    except Exception as exc:  # last resort: keep the JSON-report contract
+        report = _error_report(args.command, "internal", exc)
+        report["error"]["exception"] = type(exc).__name__
+        _emit(report, None)
+        return 2
 
 
 if __name__ == "__main__":

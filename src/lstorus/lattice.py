@@ -4,6 +4,11 @@ Vectors are rows; a sublattice of Z^k is the row span of an integer matrix.
 All arithmetic uses Python's arbitrary-precision integers, so intermediate
 entry growth is harmless at the matrix sizes this package deals with.
 
+Every rank, independence, summand, inverse and solve query goes through one
+Hermite routine (``_hnf_rows``); nothing here uses rational arithmetic.
+``snf_diagonal`` is kept as public API only, and ``det_int`` (Bareiss) is
+the independent check behind witness re-verification.
+
 Conventions fixed here and asserted throughout the package:
 
 * ``hnf`` is the row-style Hermite normal form: row echelon, pivots
@@ -21,7 +26,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
@@ -217,13 +221,23 @@ def snf_diagonal(m: Matrix) -> list[int]:
     return diag
 
 
+def _is_unit_block(h: Sequence[Sequence[int]]) -> bool:
+    """True when h is an identity block above zero rows, [I_r; 0].
+
+    For h = HNF(transpose(B)) with B of r rows, this says the rows of B
+    extend to a basis of Z^k, i.e. they span a rank-r direct summand.
+    """
+    return all(
+        x == (1 if i == j else 0) for i, row in enumerate(h) for j, x in enumerate(row)
+    )
+
+
 def is_direct_summand(m: Matrix) -> bool:
     """True when the rows are independent and span a direct summand of Z^k."""
     m = as_matrix(m)
     if len(m) > len(m[0]):
         raise LatticeError("more rows than ambient rank")
-    diag = snf_diagonal(m)
-    return len(diag) == len(m) and all(d == 1 for d in diag)
+    return _is_unit_block(_hnf_rows(transpose(m)))
 
 
 def right_kernel_basis(m: Matrix) -> Matrix:
@@ -317,7 +331,8 @@ def saturate(m: Matrix) -> Subtorus:
         return Subtorus.full(k)
     sat = right_kernel_basis(ker)
     basis = hnf_basis(sat)
-    assert is_direct_summand(basis)
+    if not is_direct_summand(basis):
+        raise RuntimeError("internal: saturation is not a direct summand")
     return Subtorus(k=k, basis=basis)
 
 
@@ -368,47 +383,15 @@ def apply_auto(a: Matrix, v: PrimitiveVector) -> PrimitiveVector:
     return PrimitiveVector(image)
 
 
-def solve_matrix(a: Matrix, b: Matrix) -> Optional[tuple[tuple[Fraction, ...], ...]]:
-    """Solve a @ X == b over Q for square a; None when a is singular."""
-    n = len(a)
-    width = len(b[0]) if b else 0
-    aug = [[Fraction(x) for x in row_a] + [Fraction(x) for x in row_b]
-           for row_a, row_b in zip(a, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:n + width]) for row in aug)
-
-
-def _integral(m: tuple[tuple[Fraction, ...], ...]) -> Optional[Matrix]:
-    out = []
-    for row in m:
-        new = []
-        for x in row:
-            if x.denominator != 1:
-                return None
-            new.append(int(x))
-        out.append(tuple(new))
-    return tuple(out)
-
-
 def mat_inverse_unimodular(m: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    sol = solve_matrix(m, identity(len(m)))
-    if sol is None:
-        raise LatticeError("matrix is singular")
-    inv = _integral(sol)
-    if inv is None:
-        raise LatticeError("matrix is not unimodular")
-    return inv
+    """Exact inverse of a unimodular integer matrix: U with U @ m == I."""
+    h, u = hnf_with_transform(m)
+    if len(h) != len(h[0]):
+        raise LatticeError("inverse needs a square matrix")
+    if not _is_unit_block(h):
+        singular = not any(h[-1])
+        raise LatticeError("matrix is singular" if singular else "matrix is not unimodular")
+    return u
 
 
 def extend_saturated(basis: Matrix) -> Matrix:
@@ -419,31 +402,23 @@ def extend_saturated(basis: Matrix) -> Matrix:
     basis = as_matrix(basis)
     h, u = hnf_with_transform(transpose(basis))
     r = len(basis)
-    if [list(row) for row in h[:r]] != [list(row) for row in identity(r)] or any(
-        any(row) for row in h[r:]
-    ):
+    if not _is_unit_block(h):
         raise LatticeError("rows are not a basis of a saturated sublattice")
     p = transpose(mat_inverse_unimodular(u))
-    assert p[:r] == basis
-    assert abs(det_int(p)) == 1
+    if p[:r] != basis:
+        raise RuntimeError("internal: extension does not start with the basis")
+    if abs(det_int(p)) != 1:
+        raise RuntimeError("internal: extension is not unimodular")
     return p
 
 
 def _greedy_independent(rows: Sequence[Row]) -> list[int]:
-    """Indices of a maximal independent subset, chosen greedily in order."""
-    chosen: list[int] = []
-    echelon: list[list[Fraction]] = []
-    for idx, row in enumerate(rows):
-        vec = [Fraction(x) for x in row]
-        for base in echelon:
-            pc = next(j for j, x in enumerate(base) if x != 0)
-            if vec[pc] != 0:
-                f = vec[pc] / base[pc]
-                vec = [x - f * y for x, y in zip(vec, base)]
-        if any(x != 0 for x in vec):
-            echelon.append(vec)
-            chosen.append(idx)
-    return chosen
+    """Indices of a maximal independent subset, chosen greedily in order.
+
+    These are the pivot columns of the Hermite form of the rows as columns.
+    """
+    h = _hnf_rows(transpose(rows))
+    return [next(j for j, x in enumerate(row) if x) for row in h if any(row)]
 
 
 @dataclass(frozen=True)
@@ -489,7 +464,8 @@ def solve_unimodular(
         return None
     cs = [coords_in_basis(sat_s.basis, v) for v in s_rows]
     cd = [coords_in_basis(sat_d.basis, v) for v in d_rows]
-    assert all(c is not None for c in cs) and all(c is not None for c in cd)
+    if any(c is None for c in cs + cd):
+        raise RuntimeError("internal: a label lies outside its saturation")
     sub = solve_unimodular(
         [PrimitiveVector(c) for c in cs], [PrimitiveVector(c) for c in cd], r
     )
@@ -508,7 +484,8 @@ def solve_unimodular(
     m_row = mat_mul(mat_mul(mat_inverse_unimodular(p), block), q)
     if not _maps_all(s_rows, d_rows, m_row):
         return None
-    assert abs(det_int(m_row)) == 1
+    if abs(det_int(m_row)) != 1:
+        raise RuntimeError("internal: solution is not unimodular")
     return UnimodularSolution(transpose(m_row), unique=False)
 
 
@@ -516,20 +493,30 @@ def _solve_full_rank(
     s_rows: Sequence[Row], d_rows: Sequence[Row], j: list[int], k: int
 ) -> Optional[Matrix]:
     """Row-action matrix M with s_i @ M == +-d_i, via sign enumeration on a
-    rational basis among the sources."""
-    s_basis = tuple(s_rows[i] for i in j)
+    rational basis S among the sources.
+
+    With U @ S == H upper triangular, S @ M == D becomes H @ M == U @ D,
+    solved by integer back-substitution; a remainder means no integral M.
+    """
+    h, u = hnf_with_transform(tuple(s_rows[i] for i in j))
     for signs in itertools.product((1, -1), repeat=k):
         d_basis = tuple(
             tuple(e * x for x in d_rows[i]) for e, i in zip(signs, j)
         )
-        sol = solve_matrix(s_basis, d_basis)
-        if sol is None:
-            return None  # source basis singular; cannot happen for real rank k
-        m_row = _integral(sol)
-        if m_row is None or abs(det_int(m_row)) != 1:
-            continue
-        if _maps_all(s_rows, d_rows, m_row):
-            return m_row
+        rhs = mat_mul(u, d_basis)
+        m_row: list[Row] = [()] * k
+        for i in reversed(range(k)):
+            row = [
+                x - sum(h[i][t] * m_row[t][c] for t in range(i + 1, k))
+                for c, x in enumerate(rhs[i])
+            ]
+            if any(x % h[i][i] for x in row):
+                break
+            m_row[i] = tuple(x // h[i][i] for x in row)
+        else:
+            m = tuple(m_row)
+            if abs(det_int(m)) == 1 and _maps_all(s_rows, d_rows, m):
+                return m
     return None
 
 

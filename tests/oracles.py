@@ -52,35 +52,36 @@ def minor_gcd_is_summand(rows: Sequence[Sequence[int]]) -> bool:
     return g == 1
 
 
-def membership_bruteforce(
-    rows: Sequence[Sequence[int]], v: Sequence[int], coeff_bound: int
-) -> bool:
-    """Is v an integer combination of the rows, with coefficients in a box?"""
-    n = len(rows)
-    width = len(v)
-    for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=n):
-        if all(
-            sum(c * rows[i][j] for i, c in enumerate(coeffs)) == v[j]
-            for j in range(width)
-        ):
-            return True
-    return False
-
-
 def spans_equal_bruteforce(
     a: Sequence[Sequence[int]],
     b: Sequence[Sequence[int]],
     box: int = 4,
     coeff_bound: int = 30,
 ) -> bool:
-    """Compare row spans on every vector of a bounded box."""
+    """Compare row spans on every vector of a bounded box.
+
+    Each side's combinations with coefficients in [-coeff_bound, coeff_bound]
+    are built once; a box vector counts as in a span when it is in that set.
+    """
     width = len(a[0])
+    reach_a = _combinations_in_box(a, coeff_bound)
+    reach_b = _combinations_in_box(b, coeff_bound)
     for v in itertools.product(range(-box, box + 1), repeat=width):
-        if membership_bruteforce(a, v, coeff_bound) != membership_bruteforce(
-            b, v, coeff_bound
-        ):
+        if (v in reach_a) != (v in reach_b):
             return False
     return True
+
+
+def _combinations_in_box(
+    rows: Sequence[Sequence[int]], coeff_bound: int
+) -> set[tuple[int, ...]]:
+    width = len(rows[0])
+    return {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(width))
+        for coeffs in itertools.product(
+            range(-coeff_bound, coeff_bound + 1), repeat=len(rows)
+        )
+    }
 
 
 def saturation_members_bruteforce(

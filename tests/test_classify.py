@@ -123,6 +123,18 @@ def test_verify_witness_rejects_wrong_auto():
     assert not verify_witness(a, b, bad, "weak")
 
 
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_failed_reverification_raises(monkeypatch, mode):
+    # The re-verification is an explicit check, so it also runs under -O.
+    import lstorus.classify as classify
+
+    monkeypatch.setattr(classify, "verify_witness", lambda *args: False)
+    cp = hirzebruch_pair(1)
+    decide = strong_equivalence if mode == "strong" else weak_equivalence
+    with pytest.raises(RuntimeError, match="re-verification"):
+        decide(cp, shuffled_copy(cp, random.Random(3)))
+
+
 def test_verify_witness_rejects_malformed():
     a = square_pair(SQUARE_STD)
     assert not verify_witness(a, a, IsoWitness(phi={}), "strong")

@@ -288,6 +288,55 @@ def test_census_more_facets_than_recursion_limit(capsys, tmp_path):
     assert report["total_valid"] == 1
 
 
+def test_census_missing_k_is_usage_report(capsys):
+    code = main(["census", "--poset", str(FIXTURES / "simplex2.json"), "--bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["schema"] == 1
+    assert report["command"] == "census"
+    assert report["error"]["type"] == "usage"
+    assert "--k" in report["error"]["message"]
+
+
+def test_unknown_subcommand_is_usage_report(capsys):
+    code = main(["frobnicate", "x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["command"] is None
+    assert report["error"]["type"] == "usage"
+
+
+def test_help_stays_plain_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lstorus")
+
+
+def test_internal_error_is_reported(capsys, monkeypatch):
+    import lstorus.cli as cli
+
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("forced")
+
+    monkeypatch.setattr(cli, "run_local_checks", boom)
+    code = main(["localcheck", "--n", "1", "--k", "2", "--m", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["command"] == "localcheck"
+    assert report["error"] == {
+        "type": "internal",
+        "exception": "ZeroDivisionError",
+        "message": "forced",
+    }
+
+
 def test_localcheck_passes_and_is_deterministic(capsys):
     args = [
         "localcheck",

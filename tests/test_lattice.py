@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lstorus.lattice import (
     LatticeError,
+    _greedy_independent,
     PrimitiveVector,
     Subtorus,
     apply_auto,
@@ -30,7 +31,9 @@ from lstorus.lattice import (
 )
 
 from oracles import (
+    gl_orbit_match,
     minor_gcd_is_summand,
+    rational_rank,
     saturation_members_bruteforce,
     spans_equal_bruteforce,
 )
@@ -288,6 +291,36 @@ def test_solve_unimodular_randomized_roundtrip():
             assert apply_auto(sol.matrix, s) == d
 
 
+def test_solve_unimodular_source_basis_of_index_two():
+    # The greedy basis (1,1),(1,-1) spans an index-2 sublattice, so the
+    # back-substitution is integral only when d1 and d2 agree mod 2, and the
+    # sign choice is then fixed by where (1,0) goes.
+    rng = random.Random(43)
+    src = [PrimitiveVector(v) for v in ((1, 1), (1, -1), (1, 0))]
+    found = missing = 0
+    for _ in range(150):
+        a = random_unimodular(2, rng)
+        variant = rng.randrange(3)
+        if variant == 0:
+            dst = [apply_auto(a, v) for v in src]
+        elif variant == 1:  # the third image is off the orbit
+            third = rng.choice(((1, 2), (2, 1), (1, -2), (0, 1)))
+            dst = [apply_auto(a, v) for v in src[:2] + [PrimitiveVector(third)]]
+        else:  # the first two images span all of Z^2
+            dst = [apply_auto(a, PrimitiveVector(v)) for v in ((1, 0), (0, 1), (1, 1))]
+        sol = solve_unimodular(src, dst, 2)
+        expected = gl_orbit_match([v.coords for v in src], [v.coords for v in dst], 2)
+        assert (sol is not None) == expected, dst
+        if sol is None:
+            missing += 1
+            continue
+        found += 1
+        assert sol.unique and abs(det_int(sol.matrix)) == 1
+        for s_, d in zip(src, dst):
+            assert apply_auto(sol.matrix, s_) == d
+    assert found and missing
+
+
 def test_extend_saturated():
     rng = random.Random(31)
     for _ in range(100):
@@ -327,6 +360,32 @@ def test_mat_inverse_unimodular():
         assert mat_mul(m, inv) == identity(k)
     with pytest.raises(LatticeError):
         mat_inverse_unimodular(((2, 0), (0, 1)))
+    with pytest.raises(LatticeError, match="singular"):
+        mat_inverse_unimodular(((1, 2), (2, 4)))
+    with pytest.raises(LatticeError, match="square"):
+        mat_inverse_unimodular(((1, 0, 0), (0, 1, 0)))
+
+
+def test_rank_and_greedy_independent_match_rational_rank():
+    # 500 random matrices; dependent rows are built in and zero rows occur.
+    rng = random.Random(41)
+    for _ in range(500):
+        k = rng.randrange(1, 5)
+        rows = [tuple(rng.randrange(-3, 4) for _ in range(k)) for _ in range(rng.randrange(1, 6))]
+        for _ in range(rng.randrange(3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            c, d = rng.randrange(-2, 3), rng.randrange(-2, 3)
+            rows.insert(rng.randrange(len(rows) + 1), tuple(c * x + d * y for x, y in zip(a, b)))
+        rows = tuple(rows)
+        assert rank_int(rows) == rational_rank(rows), rows
+        chosen = _greedy_independent(rows)
+        # Greedy in order: a row is chosen exactly when it raises the rank
+        # of the rows before it.
+        expected = [
+            i for i in range(len(rows))
+            if rational_rank(rows[: i + 1]) > rational_rank(rows[:i])
+        ]
+        assert chosen == expected, rows
 
 
 def test_transpose_involution():
