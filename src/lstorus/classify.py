@@ -8,7 +8,8 @@ Two notions are decided:
 
 Searches are exact backtracking over faces, pruned by an iterated color
 refinement of the Hasse diagram (codimension, cover degrees, and label data
-that is invariant for the mode).  Every positive verdict carries a witness
+that is invariant for the mode), mapping next the face most connected to
+those already mapped.  Every positive verdict carries a witness
 that is re-verified by an independent recomputation before being returned.
 
 ``canonical_form`` produces a string equal across a mode's equivalence class
@@ -20,6 +21,7 @@ deciders have no such bound.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -69,7 +71,12 @@ class Verdict:
 
 
 class _SearchPoset:
-    """Preprocessed view of one pair for the isomorphism search."""
+    """Preprocessed view of one pair for the isomorphism search.
+
+    Facets carrying the same label are "mates".  They are kept as label
+    classes, not as per-face sets, so a class of m facets costs O(m), not
+    O(m^2).
+    """
 
     def __init__(self, cp: CharacteristicPair, mode: str):
         p = cp.poset
@@ -78,16 +85,12 @@ class _SearchPoset:
         self.up = {f: frozenset(p.covering(f)) for f in self.ids}
         self.down = {f: frozenset(p.covered_by(f)) for f in self.ids}
         labels = cp.labels()
-        by_label: dict[tuple[int, ...], list[str]] = {}
-        for f, v in labels.items():
-            by_label.setdefault(v.coords, []).append(f)
-        # Facets carrying the same label as f (excluding f itself).
-        self.mates = {
-            f: frozenset(x for x in by_label.get(labels[f].coords, ()) if x != f)
-            if f in labels
-            else frozenset()
-            for f in self.ids
-        }
+        # Label class (the label's coordinates) of each facet, and members.
+        self.label_class = {f: v.coords for f, v in labels.items()}
+        self.classes: dict[tuple[int, ...], list[str]] = {}
+        for f in self.ids:
+            if f in labels:
+                self.classes.setdefault(labels[f].coords, []).append(f)
         # Color keys are nested integer tuples so rounds sort structurally.
         self.init_key = {}
         for f in self.ids:
@@ -95,7 +98,7 @@ class _SearchPoset:
                 if mode == "strong":
                     label_part = (1,) + labels[f].coords
                 else:
-                    label_part = (2, len(by_label[labels[f].coords]))
+                    label_part = (2, len(self.classes[labels[f].coords]))
             else:
                 label_part = (0,)
             self.init_key[f] = (
@@ -104,6 +107,27 @@ class _SearchPoset:
                 len(self.down[f]),
                 label_part,
             )
+
+    def mate_colors(self, col: dict[str, int]) -> dict[str, tuple[int, ...]]:
+        """Sorted colors of each face's mates (itself excluded); faces of one
+        class and one color share the tuple."""
+        class_cols = {
+            c: sorted(col[g] for g in members) for c, members in self.classes.items()
+        }
+        shared: dict[tuple, tuple[int, ...]] = {}
+        out: dict[str, tuple[int, ...]] = {}
+        for f in self.ids:
+            c = self.label_class.get(f)
+            if c is None:
+                out[f] = ()
+                continue
+            key = (c, col[f])
+            if key not in shared:
+                cols = class_cols[c]
+                i = cols.index(col[f])
+                shared[key] = tuple(cols[:i] + cols[i + 1:])
+            out[f] = shared[key]
+        return out
 
 
 def _joint_refine(
@@ -129,13 +153,14 @@ def _joint_refine(
     while True:
         keys = []
         for s, col in zip(structs, colors):
+            mates = s.mate_colors(col)
             ks = []
             for f in s.ids:
                 sig = (
                     col[f],
                     tuple(sorted(col[g] for g in s.up[f])),
                     tuple(sorted(col[g] for g in s.down[f])),
-                    tuple(sorted(col[g] for g in s.mates[f])),
+                    mates[f],
                 )
                 ks.append(sig)
             keys.append(ks)
@@ -152,27 +177,104 @@ def _histogram(colors: dict[str, int]) -> dict[int, int]:
     return out
 
 
+def _search_order(
+    sa: _SearchPoset, col_a: dict[str, int], hist_a: dict[int, int]
+) -> list[str]:
+    """Connectivity-driven order for the search (the VF2 order of Cordella,
+    Foggia, Sansone and Vento, IEEE TPAMI 2004).
+
+    The next face is the unplaced one with the most placed neighbours (up,
+    down and label mates); ties go to the smaller color class, then the
+    color, then the face id.  A face placed next to mapped ones has few
+    consistent images, so symmetric posets branch little.
+
+    Placing a facet raises the score of all its mates at once, so a label
+    class keeps its own heap (ordered by placed up/down neighbours) and only
+    the class's best member is pushed to the global heap.  Stale entries of
+    both heaps are skipped when popped.
+    """
+    nbrs = {f: 0 for f in sa.ids}  # placed up/down neighbours
+    in_class = {c: 0 for c in sa.classes}  # placed members per label class
+
+    def rank(f: str) -> tuple:
+        return (hist_a[col_a[f]], col_a[f], f)
+
+    def score(f: str) -> int:
+        c = sa.label_class.get(f)
+        return nbrs[f] + (in_class[c] if c is not None else 0)
+
+    class_heaps = {
+        c: [(0,) + rank(f) for f in members] for c, members in sa.classes.items()
+    }
+    for h in class_heaps.values():
+        heapq.heapify(h)
+    heap = [(0,) + rank(f) for f in sa.ids]
+    heapq.heapify(heap)
+    placed: set[str] = set()
+
+    def push_best(c: tuple[int, ...]) -> None:
+        h = class_heaps[c]
+        while h and (h[0][-1] in placed or -h[0][0] != nbrs[h[0][-1]]):
+            heapq.heappop(h)
+        if h:
+            f = h[0][-1]
+            heapq.heappush(heap, (-score(f),) + rank(f))
+
+    order: list[str] = []
+    while heap:
+        entry = heapq.heappop(heap)
+        u = entry[-1]
+        if u in placed or -entry[0] != score(u):
+            continue
+        order.append(u)
+        placed.add(u)
+        for w in sa.up[u] | sa.down[u]:
+            if w in placed:
+                continue
+            nbrs[w] += 1
+            heapq.heappush(heap, (-score(w),) + rank(w))
+            c = sa.label_class.get(w)
+            if c is not None:
+                heapq.heappush(class_heaps[c], (-nbrs[w],) + rank(w))
+        c = sa.label_class.get(u)
+        if c is not None:
+            in_class[c] += 1
+            push_best(c)
+    return order
+
+
 def _iso_candidates(
     sa: _SearchPoset, sb: _SearchPoset
 ) -> Iterator[dict[str, str]]:
-    """Yield poset isomorphisms (mate-consistent) in deterministic order."""
+    """Yield poset isomorphisms (mate-consistent) in deterministic order.
+
+    The backtracking runs on an explicit stack, so its depth is not bounded
+    by the interpreter's recursion limit.
+    """
     if len(sa.ids) != len(sb.ids):
         return
     col_a, col_b = _joint_refine([sa, sb], [sa.init_key, sb.init_key])
-    if _histogram(col_a) != _histogram(col_b):
+    hist_a = _histogram(col_a)
+    if hist_a != _histogram(col_b):
         return
 
     by_color_b: dict[int, list[str]] = {}
     for f in sb.ids:
         by_color_b.setdefault(col_b[f], []).append(f)
 
-    hist_a = _histogram(col_a)
-    order = sorted(sa.ids, key=lambda f: (hist_a[col_a[f]], col_a[f], f))
+    order = _search_order(sa, col_a, hist_a)
+    # sb.ids is sorted, so each color's candidates are in id order.
+    candidates = [by_color_b.get(col_a[u], []) for u in order]
     phi: dict[str, str] = {}
     used: set[str] = set()
+    # Mates must map to mates.  The placed members of a label class of a all
+    # map into one class of b, image[class], and the counts must agree.
+    placed_a = {c: 0 for c in sa.classes}
+    used_b = {c: 0 for c in sb.classes}
+    image: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def consistent(u: str, v: str) -> bool:
-        for rel_a, rel_b in ((sa.up, sb.up), (sa.down, sb.down), (sa.mates, sb.mates)):
+        for rel_a, rel_b in ((sa.up, sb.up), (sa.down, sb.down)):
             count = 0
             for w in rel_a[u]:
                 if w in phi:
@@ -181,23 +283,54 @@ def _iso_candidates(
                         return False
             if sum(1 for w in rel_b[v] if w in used) != count:
                 return False
-        return True
+        ca = sa.label_class.get(u)
+        if ca is None:
+            return True
+        cb = sb.label_class[v]
+        n = placed_a[ca]
+        return n == used_b[cb] and (n == 0 or image[ca] == cb)
 
-    def extend(i: int) -> Iterator[dict[str, str]]:
-        if i == len(order):
+    def place(u: str, v: str) -> None:
+        phi[u] = v
+        used.add(v)
+        ca = sa.label_class.get(u)
+        if ca is not None:
+            cb = sb.label_class[v]
+            placed_a[ca] += 1
+            used_b[cb] += 1
+            image[ca] = cb
+
+    def unplace(u: str) -> None:
+        v = phi.pop(u)
+        used.discard(v)
+        ca = sa.label_class.get(u)
+        if ca is not None:
+            placed_a[ca] -= 1
+            used_b[sb.label_class[v]] -= 1
+
+    # next_index[i]: where the scan of order[i]'s candidates resumes.
+    next_index = [0] * len(order)
+    depth = 0
+    while depth >= 0:
+        if depth == len(order):
             yield dict(phi)
-            return
-        u = order[i]
-        for v in sorted(by_color_b.get(col_a[u], ())):
-            if v in used or not consistent(u, v):
-                continue
-            phi[u] = v
-            used.add(v)
-            yield from extend(i + 1)
-            del phi[u]
-            used.discard(v)
-
-    yield from extend(0)
+            depth -= 1
+            unplace(order[depth])
+            continue
+        u = order[depth]
+        cands = candidates[depth]
+        j = next_index[depth]
+        while j < len(cands) and (cands[j] in used or not consistent(u, cands[j])):
+            j += 1
+        if j == len(cands):
+            next_index[depth] = 0
+            depth -= 1
+            if depth >= 0:
+                unplace(order[depth])
+            continue
+        next_index[depth] = j + 1
+        place(u, cands[j])
+        depth += 1
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,7 @@ class FacePoset:
             self._uppers[f] = tuple(sorted(up_map[f]))
             self._lowers[f] = tuple(sorted(lo_map[f]))
         self._upper_sets: Optional[dict[str, frozenset[str]]] = None
+        self._report: Optional[ValidityReport] = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -137,29 +138,38 @@ class FacePoset:
     def upper_set(self, fid: str) -> frozenset[str]:
         """All faces containing fid, including fid itself."""
         self._require(fid)
+        return self._upper_sets_map()[fid]
+
+    def _upper_sets_map(self) -> dict[str, frozenset[str]]:
         if self._upper_sets is None:
             self._upper_sets = self._compute_upper_sets()
-        return self._upper_sets[fid]
+        return self._upper_sets
 
     def _compute_upper_sets(self) -> dict[str, frozenset[str]]:
+        """Depth-first closure over the covers, on an explicit stack so a
+        deep chain does not hit the recursion limit.  A face met again on
+        the current path (a cycle) contributes nothing, which terminates."""
         out: dict[str, frozenset[str]] = {}
-
-        def visit(f: str, stack: set[str]) -> frozenset[str]:
-            if f in out:
-                return out[f]
-            if f in stack:
-                # Cycle: treat reachability as already-collected to terminate.
-                return frozenset()
-            stack.add(f)
-            acc = {f}
-            for up in self._uppers[f]:
-                acc |= visit(up, stack)
-            stack.discard(f)
-            out[f] = frozenset(acc)
-            return out[f]
-
-        for f in sorted(self._codim):
-            visit(f, set())
+        for root in sorted(self._codim):
+            if root in out:
+                continue
+            path = {root}
+            stack = [(root, iter(self._uppers[root]), {root})]
+            while stack:
+                f, ups, acc = stack[-1]
+                for up in ups:
+                    if up in out:
+                        acc |= out[up]
+                    elif up not in path:
+                        path.add(up)
+                        stack.append((up, iter(self._uppers[up]), {up}))
+                        break
+                else:
+                    stack.pop()
+                    path.discard(f)
+                    out[f] = frozenset(acc)
+                    if stack:
+                        stack[-1][2].update(out[f])
         return out
 
     def leq(self, f: str, g: str) -> bool:
@@ -176,6 +186,13 @@ class FacePoset:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidityReport:
+        """Validity report, computed on the first call and then reused (the
+        poset is immutable)."""
+        if self._report is None:
+            self._report = self._compute_validity()
+        return self._report
+
+    def _compute_validity(self) -> ValidityReport:
         violations: list[Violation] = []
         tops = self.top_faces()
         if len(tops) != 1:
@@ -210,10 +227,16 @@ class FacePoset:
             # Niceness is meaningless on an ungraded or multi-top structure.
             return ValidityReport(False, tuple(violations))
 
+        uppers = self._upper_sets_map()
+        stars = {
+            f: frozenset(g for g in uppers[f] if self._codim[g] == 1)
+            for f in self._codim
+        }
         for f in self.ids():
             n = self._codim[f]
-            star = self.facets_containing(f)
-            if len(star) != n:
+            star_set = stars[f]
+            if len(star_set) != n:
+                star = sorted(star_set)
                 violations.append(
                     Violation(
                         "niceness",
@@ -223,7 +246,7 @@ class FacePoset:
                     )
                 )
                 continue
-            interval = self.upper_set(f)
+            interval = uppers[f]
             if len(interval) != 2 ** n:
                 violations.append(
                     Violation(
@@ -233,11 +256,10 @@ class FacePoset:
                     )
                 )
                 continue
-            star_set = frozenset(star)
             seen: dict[frozenset[str], str] = {}
             bad = False
             for g in sorted(interval):
-                key = frozenset(self.facets_containing(g))
+                key = stars[g]
                 if not key <= star_set or key in seen:
                     violations.append(
                         Violation(
@@ -253,9 +275,7 @@ class FacePoset:
                 continue
             for g1 in interval:
                 for g2 in interval:
-                    k1 = frozenset(self.facets_containing(g1))
-                    k2 = frozenset(self.facets_containing(g2))
-                    if self.leq(g1, g2) != (k2 <= k1):
+                    if (g2 in uppers[g1]) != (stars[g2] <= stars[g1]):
                         violations.append(
                             Violation(
                                 "boolean-interval",

@@ -291,3 +291,76 @@ def rational_rank(rows: Sequence[Sequence[int]]) -> int:
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def poset_violations_reference(poset) -> list[tuple]:
+    """The niceness checks of ``FacePoset.validate``, recomputed from the raw
+    faces and covers with a breadth-first up-closure.
+
+    Returns sorted (kind, faces, detail) triples, so it is compared with the
+    library's report as a multiset; detail strings are built the same way.
+    """
+    codim = {f: poset.codim(f) for f in poset.ids()}
+    covers = sorted(poset.covers())
+    up: dict[str, list[str]] = {f: [] for f in codim}
+    for lo, hi in covers:
+        up[lo].append(hi)
+    out = []
+    tops = sorted(f for f, c in codim.items() if c == 0)
+    if len(tops) != 1:
+        out.append(("top", tuple(tops),
+                    f"expected exactly one codimension-0 face, found {len(tops)}"))
+    for lo, hi in covers:
+        if codim[lo] != codim[hi] + 1:
+            out.append(("grading", (lo, hi),
+                        f"cover {lo!r} (codim {codim[lo]}) over {hi!r} "
+                        f"(codim {codim[hi]}) must drop codimension by 1"))
+    for f in sorted(codim):
+        if codim[f] > poset.dim_orbit:
+            out.append(("codim-bound", (f,),
+                        f"codimension {codim[f]} exceeds orbit dimension "
+                        f"{poset.dim_orbit}"))
+    if out:
+        return sorted(out)
+
+    def above(f: str) -> set[str]:
+        seen, queue = {f}, [f]
+        while queue:
+            for g in up[queue.pop()]:
+                if g not in seen:
+                    seen.add(g)
+                    queue.append(g)
+        return seen
+
+    uppers = {f: above(f) for f in codim}
+    stars = {f: frozenset(g for g in uppers[f] if codim[g] == 1) for f in codim}
+    for f in sorted(codim):
+        n = codim[f]
+        if len(stars[f]) != n:
+            star = sorted(stars[f])
+            out.append(("niceness", (f,),
+                        f"face of codimension {n} lies below {len(star)} facets "
+                        f"({star}); niceness requires exactly {n}"))
+            continue
+        interval = uppers[f]
+        if len(interval) != 2 ** n:
+            out.append(("boolean-interval", (f,),
+                        f"upper interval has {len(interval)} faces, expected {2 ** n}"))
+            continue
+        seen: set[frozenset[str]] = set()
+        clash = None
+        for g in sorted(interval):
+            if not stars[g] <= stars[f] or stars[g] in seen:
+                clash = g
+                break
+            seen.add(stars[g])
+        if clash is not None:
+            out.append(("boolean-interval", (f, clash),
+                        "faces above do not match distinct facet subsets"))
+            continue
+        for g1 in interval:
+            for g2 in interval:
+                if (g2 in uppers[g1]) != (stars[g2] <= stars[g1]):
+                    out.append(("boolean-interval", (f, g1, g2),
+                                "interval order disagrees with facet-subset order"))
+    return sorted(out)

@@ -1,8 +1,14 @@
+import itertools
 import random
 
 import pytest
 
-from lstorus.charpair import CharacteristicPair, relabel, rename_faces
+from lstorus.charpair import (
+    CharacteristicPair,
+    relabel,
+    rename_faces,
+    validate_characteristic,
+)
 from lstorus.classify import (
     CanonicalFormError,
     IsoWitness,
@@ -14,10 +20,14 @@ from lstorus.classify import (
 )
 from lstorus.fixtures import (
     cp_pair,
+    cube_pair,
     cube_poset,
     half_plane_pair,
     hirzebruch_pair,
     pentagon_poset,
+    polygon_pair,
+    prism_pair,
+    product_poset,
     square_pair,
 )
 from lstorus.lattice import (
@@ -371,6 +381,157 @@ def test_canonical_form_size_bound():
         canonical_form(cp, "strong")
     # The deciders stay usable above the canonical-form bound.
     assert strong_equivalence(cp, cp).equivalent
+
+
+def product_pair(a, b):
+    """Block-diagonal labels on the product of the two posets."""
+    top_a, top_b = a.poset.top(), b.poset.top()
+    labels = {f"{f}|{top_b}": v.coords + (0,) * b.k for f, v in a.labels().items()}
+    labels.update({f"{top_a}|{f}": (0,) * a.k + v.coords for f, v in b.labels().items()})
+    return CharacteristicPair(product_poset(a.poset, b.poset), a.k + b.k, labels)
+
+
+# Symmetric posets: base pair, and one facet with a new label that keeps the
+# pair valid.  The new label also keeps the label-class sizes where a single
+# facet change can (every family but cube4), so the weak negative gets past
+# the precheck and the search must rule out every poset isomorphism.
+KNOWN_ANSWER = {
+    "cube4": (lambda: cube_pair(4), "F0|T|T|T", (1, 1, 0, 0)),
+    "prism": (prism_pair, "F0|T", (1, -1, 1)),
+    "cp2xcp1": (lambda: product_pair(cp_pair(2), cp_pair(1)), "F0|T", (1, -1, -1)),
+    "pentagonxcp1": (
+        lambda: product_pair(polygon_pair(5), cp_pair(1)), "E4|T", (1, -1, 1)
+    ),
+    "cp2xcp2": (lambda: product_pair(cp_pair(2), cp_pair(2)), "F0|T", (1, -1, -1, 0)),
+}
+# The exhaustive-bijection oracle needs ~20 s on a cube4 negative; there the
+# label-class sizes (a GL(k, Z) invariant) settle the weak answer instead.
+ORACLE_TOO_SLOW = {"cube4"}
+
+
+def _class_sizes(cp):
+    counts = {}
+    for v in cp.labels().values():
+        counts[v.coords] = counts.get(v.coords, 0) + 1
+    return sorted(counts.values())
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+@pytest.mark.parametrize("family", sorted(KNOWN_ANSWER))
+def test_known_answers_on_symmetric_posets(family, mode):
+    build, facet, new_label = KNOWN_ANSWER[family]
+    base = build()
+    assert validate_characteristic(base).valid
+    rng = random.Random(sum(map(ord, family + mode)))
+    decide = strong_equivalence if mode == "strong" else weak_equivalence
+
+    positive = shuffled_copy(base, rng)
+    if mode == "weak":
+        positive = relabel(positive, random_unimodular(base.k, rng))
+    verdict = decide(base, positive)
+    assert verdict.equivalent
+    assert verify_witness(base, positive, verdict.witness, mode)
+    assert exhaustive_pair_equivalent(base, positive, mode)
+
+    labels = base.labels()
+    labels[facet] = PrimitiveVector(new_label)
+    perturbed = CharacteristicPair(base.poset, base.k, labels)
+    assert validate_characteristic(perturbed).valid
+    negative = shuffled_copy(perturbed, rng)
+    if mode == "weak":
+        negative = relabel(negative, random_unimodular(base.k, rng))
+    assert not decide(base, negative).equivalent
+    if family in ORACLE_TOO_SLOW:
+        assert _class_sizes(base) != _class_sizes(negative)
+    else:
+        assert _class_sizes(base) == _class_sizes(negative)
+        assert not exhaustive_pair_equivalent(base, negative, mode)
+
+
+def _greedy_order_by_definition(sa, col, hist):
+    """The search order straight from its definition, in O(n^2) scans."""
+    def mates(f):
+        c = sa.label_class.get(f)
+        return [g for g in sa.classes.get(c, []) if g != f]
+
+    order, placed = [], set()
+    while len(order) < len(sa.ids):
+        def key(f):
+            near = [*sa.up[f], *sa.down[f], *mates(f)]
+            return (-sum(g in placed for g in near), hist[col[f]], col[f], f)
+
+        u = min((f for f in sa.ids if f not in placed), key=key)
+        order.append(u)
+        placed.add(u)
+    return order
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_search_order_matches_its_definition(mode):
+    from lstorus.classify import _SearchPoset, _histogram, _joint_refine, _search_order
+
+    pairs = [
+        cube_pair(3),
+        prism_pair(),
+        hirzebruch_pair(1),
+        square_pair([(1, 0), (1, 0), (1, 0), (1, 0)]),
+        product_pair(cp_pair(2), cp_pair(2)),
+        product_pair(polygon_pair(5), cp_pair(1)),
+    ]
+    for cp in pairs:
+        sa = _SearchPoset(shuffled_copy(cp, random.Random(7)), mode)
+        (col,) = _joint_refine([sa], [sa.init_key])
+        hist = _histogram(col)
+        assert _search_order(sa, col, hist) == _greedy_order_by_definition(sa, col, hist)
+
+
+def _isomorphisms_by_brute_force(a, b, mode):
+    """Every codimension- and cover-preserving bijection that keeps labels
+    (strong) or maps label classes onto label classes (weak)."""
+    pa, pb = a.poset, b.poset
+    la = {f: v.coords for f, v in a.labels().items()}
+    lb = {f: v.coords for f, v in b.labels().items()}
+    levels = sorted({pa.codim(f) for f in pa.ids()})
+    perms = [list(itertools.permutations(pb.faces_of_codim(c))) for c in levels]
+    out = set()
+    for images in itertools.product(*perms):
+        phi = {}
+        for c, image in zip(levels, images):
+            phi.update(zip(pa.faces_of_codim(c), image))
+        if {(phi[lo], phi[up]) for lo, up in pa.covers()} != set(pb.covers()):
+            continue
+        if mode == "strong":
+            ok = all(la[f] == lb[phi[f]] for f in la)
+        else:
+            ok = all((la[f] == la[g]) == (lb[phi[f]] == lb[phi[g]]) for f in la for g in la)
+        if ok:
+            out.add(frozenset(phi.items()))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_iso_candidates_are_exactly_the_isomorphisms(mode):
+    from lstorus.classify import _SearchPoset, _iso_candidates
+
+    rng = random.Random(11)
+    pairs = [
+        square_pair([(1, 0), (0, 1), (1, 0), (0, 1)]),
+        square_pair([(1, 0), (1, 0), (1, 0), (1, 0)]),
+        square_pair([(1, 0), (0, 1), (1, 0), (1, 1)]),
+        # Not a valid pair, but a rotation keeps every color and breaks the
+        # label classes, so only the mate check rules it out.
+        square_pair([(1, 0), (1, 0), (0, 1), (0, 1)]),
+        cp_pair(2),
+        polygon_pair(5),
+    ]
+    for cp in pairs:
+        other = shuffled_copy(cp, rng)
+        found = [
+            frozenset(phi.items())
+            for phi in _iso_candidates(_SearchPoset(cp, mode), _SearchPoset(other, mode))
+        ]
+        assert len(found) == len(set(found))
+        assert set(found) == _isomorphisms_by_brute_force(cp, other, mode)
 
 
 def test_canonical_form_mode_validation():

@@ -288,6 +288,70 @@ def test_census_more_facets_than_recursion_limit(capsys, tmp_path):
     assert report["total_valid"] == 1
 
 
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+def test_iso_more_faces_than_recursion_limit(capsys, tmp_path, mode):
+    # The search keeps an explicit stack: one level per face.
+    facets = [f"F{i:04d}" for i in range(max(1500, sys.getrecursionlimit()))]
+    doc = {
+        "dim_orbit": 1,
+        "k": 1,
+        "faces": [{"id": "T", "codim": 0}] + [{"id": f, "codim": 1} for f in facets],
+        "covers": [[f, "T"] for f in facets],
+        "lambda": {f: [1] for f in facets},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run_cli(capsys, "iso", str(path), str(path), "--mode", mode)
+    assert code == 0
+    assert report["verdict"]["equivalent"] is True
+
+
+def test_validate_deep_chain(capsys, tmp_path):
+    # A chain f{n} (codim 0) > ... > f00000 (codim n): the deepest face sorts
+    # first, so the up-closure starts at the bottom of the whole chain.
+    n = max(1500, sys.getrecursionlimit())
+    doc = {
+        "dim_orbit": n,
+        "faces": [{"id": f"f{i:05d}", "codim": n - i} for i in range(n + 1)],
+        "covers": [[f"f{i:05d}", f"f{i + 1:05d}"] for i in range(n)],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    kinds = {v["kind"] for v in report["poset_violations"]}
+    assert kinds == {"niceness"}
+    assert len(report["poset_violations"]) == n - 1  # every face below codim 1
+
+
+def test_each_document_poset_validated_once(capsys, monkeypatch, tmp_path):
+    from lstorus.charpair import rename_faces
+    from lstorus.faceposet import FacePoset
+    from lstorus.fixtures import hirzebruch_pair
+
+    counts: dict[int, int] = {}
+    compute = FacePoset._compute_validity
+
+    def counting(self):
+        counts[id(self)] = counts.get(id(self), 0) + 1
+        return compute(self)
+
+    monkeypatch.setattr(FacePoset, "_compute_validity", counting)
+    cp = hirzebruch_pair(1)
+    renamed = rename_faces(cp, {f: f"r{f}" for f in cp.poset.ids()})
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(serialize_pair(cp), encoding="utf-8")
+    b.write_text(serialize_pair(renamed), encoding="utf-8")
+    code, _ = run_cli(capsys, "iso", str(a), str(b), "--mode", "weak")
+    assert code == 0
+    assert sorted(counts.values()) == [1, 1]
+    counts.clear()
+    code, _ = run_cli(capsys, "canon", str(a), "--mode", "weak")
+    assert code == 0
+    assert list(counts.values()) == [1]
+
+
 def test_census_missing_k_is_usage_report(capsys):
     code = main(["census", "--poset", str(FIXTURES / "simplex2.json"), "--bound", "1"])
     captured = capsys.readouterr()

@@ -1,7 +1,9 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
+from lstorus.documents import parse_document
 from lstorus.faceposet import FacePoset, PosetError, validate_poset
 from lstorus.fixtures import (
     cube_poset,
@@ -15,6 +17,10 @@ from lstorus.fixtures import (
     square_poset,
     triangle_poset,
 )
+
+from oracles import poset_violations_reference
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_square_is_valid():
@@ -176,3 +182,68 @@ def test_polygon_poset_sizes():
         p = polygon_poset(m)
         assert len(p) == 2 * m + 1
         assert validate_poset(p).valid
+
+
+def _without_cover(poset, cover):
+    faces = {f: poset.codim(f) for f in poset.ids()}
+    return FacePoset(faces, [c for c in poset.covers() if c != cover], poset.dim_orbit)
+
+
+def _invalid_variants():
+    return {
+        "ungraded": FacePoset([("T", 0), ("V", 2)], [("V", "T")], 2),
+        "two-tops": FacePoset([("T1", 0), ("T2", 0)], [], 1),
+        "codim-bound": FacePoset([("T", 0), ("E", 1)], [("E", "T")], 0),
+        "cycle": FacePoset(
+            [("T", 0), ("A", 1), ("B", 1)], [("A", "T"), ("B", "A"), ("A", "B")], 2
+        ),
+        "non-nice": FacePoset(
+            [("T", 0), ("A", 1), ("B", 1), ("C", 1), ("V", 2)],
+            [("A", "T"), ("B", "T"), ("C", "T"), ("V", "A"), ("V", "B"), ("V", "C")],
+            2,
+        ),
+        # V lies below three facets, but the edge for A and C is missing.
+        "interval-size": FacePoset(
+            [("T", 0), ("A", 1), ("B", 1), ("C", 1), ("E1", 2), ("E2", 2), ("V", 3)],
+            [("A", "T"), ("B", "T"), ("C", "T"), ("E1", "A"), ("E1", "B"),
+             ("E2", "B"), ("E2", "C"), ("V", "E1"), ("V", "E2")],
+            3,
+        ),
+        # Two edges above V lie below the same pair of facets.
+        "interval-subsets": FacePoset(
+            [("T", 0), ("A", 1), ("B", 1), ("C", 1), ("E1", 2), ("E2", 2),
+             ("E3", 2), ("V", 3)],
+            [("A", "T"), ("B", "T"), ("C", "T"), ("E1", "A"), ("E1", "B"),
+             ("E2", "A"), ("E2", "B"), ("E3", "C"), ("E3", "A"), ("V", "E1"),
+             ("V", "E2"), ("V", "E3")],
+            3,
+        ),
+        "square-missing-cover": _without_cover(square_poset(), ("V0", "E0")),
+        "cube3-missing-cover": _without_cover(cube_poset(3), sorted(cube_poset(3).covers())[-1]),
+    }
+
+
+def _fixture_posets():
+    return {
+        path.stem: parse_document(path.read_text(encoding="utf-8")).poset
+        for path in sorted(FIXTURES.glob("*.json"))
+    }
+
+
+@pytest.mark.parametrize("source", ["fixtures", "invalid"])
+def test_cached_report_equals_fresh_computation(source):
+    posets = _fixture_posets() if source == "fixtures" else _invalid_variants()
+    kinds, interval_checks = set(), set()
+    for name, poset in posets.items():
+        report = poset.validate()
+        assert poset.validate() is report, name
+        assert report == poset._compute_validity(), name
+        got = sorted((v.kind, v.faces, v.detail) for v in report.violations)
+        assert got == poset_violations_reference(poset), name
+        assert report.valid == (source == "fixtures"), name
+        kinds |= {v.kind for v in report.violations}
+        # The three Boolean-interval checks name 1, 2 and 3 faces.
+        interval_checks |= {len(v.faces) for v in report.by_kind("boolean-interval")}
+    if source == "invalid":
+        assert kinds == {"top", "grading", "codim-bound", "niceness", "boolean-interval"}
+        assert interval_checks == {1, 2, 3}
