@@ -10,6 +10,15 @@ some face has all of its facets labeled and the labels fail the
 direct-summand condition.  Results are deterministic: identical inputs give
 identical outputs.
 
+Deduplication works on orbits of the poset's automorphism group Aut(P),
+which is found once per census, lazily, by the isomorphism search of
+``classify`` on the bare poset.  A strong class is one Aut(P)-orbit of
+labelings.  A weak class joins the strong classes whose labelings share a
+GL(k, Z) x sign normal form (``lattice.gl_sign_normal_form``) after some
+automorphism, so the orbit's least form is its key.  There is no bound on
+the poset's size; the work grows with |Aut(P)| times the number of strong
+classes, and the search stops once every labeling has a class.
+
 The census runs on one thread.  The search is pure-Python and CPU-bound, so
 threads only take turns holding the interpreter lock.  On a 2-vCPU host
 (CPython 3.11) the former 2-thread pool gained nothing: the prism census
@@ -25,20 +34,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
+from typing import Callable, Iterator, Optional
 
 from .charpair import CharacteristicPair
-from .classify import (
-    CANONICAL_FORM_MAX_FACES,
-    canonical_form,
-    strong_equivalence,
-    weak_equivalence,
-)
+from .classify import poset_automorphisms
 from .faceposet import FacePoset
-from .lattice import PrimitiveVector, is_direct_summand
+from .lattice import Matrix, PrimitiveVector, gl_sign_normal_form, is_direct_summand
 
 DEFAULT_BUDGET = 10 ** 9
 
 Labeling = tuple[tuple[int, ...], ...]  # label per facet, in facet order
+Permutation = tuple[int, ...]  # facet positions
 
 
 class CensusError(ValueError):
@@ -190,7 +197,9 @@ def enumerate_census(spec: CensusSpec) -> CensusResult:
         raise BudgetExceededError(estimate, spec.budget)
 
     labelings = enumerate_labelings(spec)
-    classes = _deduplicate(spec, facets, labelings)
+    classes = _deduplicate(
+        spec.dedup, labelings, _facet_permutations(spec.poset, facets)
+    )
     faces_per_codim = _faces_per_codim(spec.poset)
     euler_codim = min(spec.k, spec.poset.dim_orbit)
     return CensusResult(
@@ -202,40 +211,80 @@ def enumerate_census(spec: CensusSpec) -> CensusResult:
     )
 
 
+def _facet_permutations(
+    poset: FacePoset, facets: tuple[str, ...]
+) -> Iterator[Permutation]:
+    """Aut(P) as facet-position permutations, found lazily.
+
+    Image i of a permutation is the position of the facet that the
+    automorphism sends facet i to, so ``tuple(lab[p] for p in perm)`` is the
+    labeling moved by the automorphism.  Automorphisms that differ only off
+    the facets give the same permutation twice, which costs time only.
+    """
+    pos = {f: i for i, f in enumerate(facets)}
+    for phi in poset_automorphisms(poset):
+        yield tuple(pos[phi[f]] for f in facets)
+
+
 def _deduplicate(
-    spec: CensusSpec, facets: tuple[str, ...], labelings: list[Labeling]
+    dedup: str, labelings: list[Labeling], automorphisms: Iterator[Permutation]
 ) -> tuple[CensusClass, ...]:
-    if spec.dedup == "none":
+    """Group labelings into classes via the poset's automorphism group.
+
+    The strong class of L is its Aut(P)-orbit {L o sigma}: automorphisms keep
+    the label box and validity, so every image is itself a labeling.  A weak
+    class is a union of strong classes, keyed by the least GL(k, Z) x sign
+    normal form of a member's k x n label matrix.  Permutations are drawn
+    from ``automorphisms`` only as needed and reused for later orbits; once
+    every labeling has a class the rest of the group is never generated.
+    """
+    if dedup == "none":
         return tuple(CensusClass(lab, 1) for lab in labelings)
 
-    def pair_of(lab: Labeling) -> CharacteristicPair:
-        return CharacteristicPair(
-            spec.poset,
-            spec.k,
-            {f: PrimitiveVector(v) for f, v in zip(facets, lab)},
-        )
+    # Each element of Aut(P) found so far, as a map from a labeling to its
+    # image.  A permutation of fewer than two positions is the identity.
+    group: list[Callable[[Labeling], Labeling]] = []
 
-    groups: dict[object, list[Labeling]]
-    if len(spec.poset) <= CANONICAL_FORM_MAX_FACES:
-        groups = {}
-        for lab in labelings:
-            key = canonical_form(pair_of(lab), spec.dedup)
-            groups.setdefault(key, []).append(lab)
-        buckets = list(groups.values())
-    else:
-        decide = strong_equivalence if spec.dedup == "strong" else weak_equivalence
-        buckets = []
-        reps: list[CharacteristicPair] = []
-        for lab in labelings:
-            cp = pair_of(lab)
-            for bucket, rep in zip(buckets, reps):
-                if decide(rep, cp).equivalent:
-                    bucket.append(lab)
+    def group_elements() -> Iterator[Callable[[Labeling], Labeling]]:
+        yield from group
+        for perm in automorphisms:
+            group.append(itemgetter(*perm) if len(perm) > 1 else lambda lab: lab)
+            yield group[-1]
+
+    orbit_of: dict[Labeling, Optional[int]] = dict.fromkeys(labelings)
+    unassigned = len(labelings)
+    weak: dict[Matrix, list] = {}  # normal form -> [representative, size]
+    classes: list[CensusClass] = []
+    for index, lab in enumerate(labelings):
+        if orbit_of[lab] is not None:
+            continue
+        orbit: list[Labeling] = []
+        for move in group_elements():
+            image = move(lab)
+            owner = orbit_of.get(image, -1)
+            if owner is None:
+                orbit_of[image] = index
+                orbit.append(image)
+                unassigned -= 1
+                if not unassigned:
                     break
-            else:
-                buckets.append([lab])
-                reps.append(cp)
-    classes = [CensusClass(min(bucket), len(bucket)) for bucket in buckets]
+            elif owner != index:
+                raise RuntimeError(
+                    "internal: an automorphism moves a labeling out of the census"
+                    if owner == -1
+                    else "internal: an automorphism joins two distinct orbits"
+                )
+        if orbit_of[lab] != index:
+            raise RuntimeError("internal: a labeling is missing from its own orbit")
+        rep = min(orbit)
+        if dedup == "strong":
+            classes.append(CensusClass(rep, len(orbit)))
+            continue
+        key = min(gl_sign_normal_form(tuple(zip(*member))) for member in orbit)
+        entry = weak.setdefault(key, [rep, 0])
+        entry[0] = min(entry[0], rep)
+        entry[1] += len(orbit)
+    classes.extend(CensusClass(rep, size) for rep, size in weak.values())
     return tuple(sorted(classes, key=lambda c: c.representative))
 
 

@@ -131,6 +131,9 @@ def validate_characteristic(cp: CharacteristicPair) -> ValidityReport:
             "poset is invalid; validate the poset before the labeling"
         )
     violations: list[Violation] = []
+    # The summand test does not depend on row order, so it is memoised on
+    # each face's sorted star labels; details keep the star order.
+    summand: dict[Matrix, bool] = {}
     for fid in cp.poset.ids():
         n = cp.poset.codim(fid)
         if n == 0:
@@ -145,7 +148,11 @@ def validate_characteristic(cp: CharacteristicPair) -> ValidityReport:
             )
             continue
         rows = cp.star_matrix(fid)
-        if not is_direct_summand(rows):
+        key = tuple(sorted(rows))
+        ok = summand.get(key)
+        if ok is None:
+            ok = summand[key] = is_direct_summand(rows)
+        if not ok:
             violations.append(
                 Violation(
                     "summand",

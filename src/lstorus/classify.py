@@ -11,6 +11,8 @@ refinement of the Hasse diagram (codimension, cover degrees, and label data
 that is invariant for the mode), mapping next the face most connected to
 those already mapped.  Every positive verdict carries a witness
 that is re-verified by an independent recomputation before being returned.
+``poset_automorphisms`` runs the same search on the bare poset; the census
+dedup is built on it.
 
 ``canonical_form`` produces a string equal across a mode's equivalence class
 by minimizing a deterministic serialization over an individualization-
@@ -24,9 +26,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .charpair import CharacteristicPair
+from .faceposet import FacePoset
 from .lattice import (
     Matrix,
     PrimitiveVector,
@@ -71,20 +74,21 @@ class Verdict:
 
 
 class _SearchPoset:
-    """Preprocessed view of one pair for the isomorphism search.
+    """Preprocessed view of a poset and its facet labels for the
+    isomorphism search; an empty label map gives the bare poset.
 
     Facets carrying the same label are "mates".  They are kept as label
     classes, not as per-face sets, so a class of m facets costs O(m), not
     O(m^2).
     """
 
-    def __init__(self, cp: CharacteristicPair, mode: str):
-        p = cp.poset
-        self.ids = p.ids()
-        self.codim = {f: p.codim(f) for f in self.ids}
-        self.up = {f: frozenset(p.covering(f)) for f in self.ids}
-        self.down = {f: frozenset(p.covered_by(f)) for f in self.ids}
-        labels = cp.labels()
+    def __init__(
+        self, poset: FacePoset, labels: Mapping[str, PrimitiveVector], mode: str
+    ):
+        self.ids = poset.ids()
+        self.codim = {f: poset.codim(f) for f in self.ids}
+        self.up = {f: frozenset(poset.covering(f)) for f in self.ids}
+        self.down = {f: frozenset(poset.covered_by(f)) for f in self.ids}
         # Label class (the label's coordinates) of each facet, and members.
         self.label_class = {f: v.coords for f, v in labels.items()}
         self.classes: dict[tuple[int, ...], list[str]] = {}
@@ -333,6 +337,16 @@ def _iso_candidates(
         depth += 1
 
 
+def poset_automorphisms(poset: FacePoset) -> Iterator[dict[str, str]]:
+    """Yield each automorphism of the bare poset once, lazily, as a face map.
+
+    Nothing is computed until the first automorphism is asked for, and a
+    caller that stops early never pays for the rest of the group.
+    """
+    sp = _SearchPoset(poset, {}, "strong")
+    yield from _iso_candidates(sp, sp)
+
+
 # ---------------------------------------------------------------------------
 # Verdicts.
 
@@ -402,9 +416,9 @@ def strong_equivalence(a: CharacteristicPair, b: CharacteristicPair) -> Verdict:
     if reason is not None:
         return Verdict(False, "strong", reason=reason, hypotheses=hyp,
                        conclusion="not equivalent")
-    sa = _SearchPoset(a, "strong")
-    sb = _SearchPoset(b, "strong")
     labels_a, labels_b = a.labels(), b.labels()
+    sa = _SearchPoset(a.poset, labels_a, "strong")
+    sb = _SearchPoset(b.poset, labels_b, "strong")
     for phi in _iso_candidates(sa, sb):
         if all(labels_a[f] == labels_b[phi[f]] for f in labels_a):
             witness = IsoWitness(phi=phi, auto=None)
@@ -439,10 +453,10 @@ def weak_equivalence(a: CharacteristicPair, b: CharacteristicPair) -> Verdict:
     if reason is not None:
         return Verdict(False, "weak", reason=reason, hypotheses=hyp,
                        conclusion="not equivalent")
-    sa = _SearchPoset(a, "weak")
-    sb = _SearchPoset(b, "weak")
     facets = a.poset.facets()
     labels_a, labels_b = a.labels(), b.labels()
+    sa = _SearchPoset(a.poset, labels_a, "weak")
+    sb = _SearchPoset(b.poset, labels_b, "weak")
     for phi in _iso_candidates(sa, sb):
         src = [labels_a[f] for f in facets]
         dst = [labels_b[phi[f]] for f in facets]
@@ -541,8 +555,8 @@ def canonical_form(cp: CharacteristicPair, mode: str) -> str:
 
 
 def _canon_strong(cp: CharacteristicPair) -> str:
-    struct = _SearchPoset(cp, "strong")
     labels = cp.labels()
+    struct = _SearchPoset(cp.poset, labels, "strong")
 
     def serialize(order: list[str]) -> str:
         index = {f: i for i, f in enumerate(order)}

@@ -157,6 +157,38 @@ def rank_int(m: Matrix) -> int:
     return len(hnf_basis(m))
 
 
+def gl_sign_normal_form(m: Matrix) -> Matrix:
+    """Canonical member of {A @ m @ D : A in GL(k, Z), D diagonal +-1}.
+
+    Two matrices get the same form exactly when one is A @ other @ D.  The
+    row HNF settles A.  Flipping a non-pivot column keeps the HNF an HNF, so
+    each non-pivot column is sign-canonicalised; a pivot column flip changes
+    the HNF, so the form is the minimum over those flips.  Flipping every
+    column is the row operation -I, so the first pivot column stays as it is
+    and 2^(rank-1) flips suffice.
+    """
+    h = _hnf_rows(as_matrix(m))
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h if any(row)]
+    pivot_set = set(pivots)
+    best = None
+    for signs in itertools.product((1, -1), repeat=max(len(pivots) - 1, 0)):
+        flip = dict(zip(pivots[1:], signs))
+        rows = _hnf_rows(
+            tuple(tuple(x * flip.get(j, 1) for j, x in enumerate(row)) for row in h)
+        )
+        for j in range(len(rows[0])):
+            if j in pivot_set:
+                continue
+            lead = next((row[j] for row in rows if row[j]), 0)
+            if lead < 0:
+                for row in rows:
+                    row[j] = -row[j]
+        form = tuple(tuple(row) for row in rows)
+        if best is None or form < best:
+            best = form
+    return best
+
+
 def snf_diagonal(m: Matrix) -> list[int]:
     """Diagonal of the Smith normal form, nonnegative, each dividing the next.
 

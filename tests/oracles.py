@@ -274,6 +274,35 @@ def exhaustive_pair_equivalent(a, b, mode: str) -> bool:
     return rec(0)
 
 
+def census_classes_pairwise(labelings, pair_of, mode: str) -> list[tuple]:
+    """Reference census dedup: each labeling joins the first class whose
+    first member ``exhaustive_pair_equivalent`` matches to it.
+
+    Only classes with the same label multiset (strong) or the same multiset
+    of label-class sizes (weak) are compared, since equivalence keeps both.
+    Returns sorted (least member, size) pairs.
+    """
+    groups: dict[tuple, list[tuple]] = {}
+    for lab in labelings:
+        counts: dict[tuple, int] = {}
+        for v in lab:
+            counts[v] = counts.get(v, 0) + 1
+        key = tuple(sorted(lab)) if mode == "strong" else tuple(sorted(counts.values()))
+        cp = pair_of(lab)
+        buckets = groups.setdefault(key, [])
+        for first, members in buckets:
+            if exhaustive_pair_equivalent(first, cp, mode):
+                members.append(lab)
+                break
+        else:
+            buckets.append((cp, [lab]))
+    return sorted(
+        (min(members), len(members))
+        for buckets in groups.values()
+        for _, members in buckets
+    )
+
+
 def rational_rank(rows: Sequence[Sequence[int]]) -> int:
     mat = [[Fraction(x) for x in r] for r in rows]
     rank = 0

@@ -1,7 +1,11 @@
+from collections import Counter
+from math import comb, factorial, prod
+
 import pytest
 
 from lstorus.census import (
     BudgetExceededError,
+    CensusClass,
     CensusError,
     CensusSpec,
     enumerate_census,
@@ -9,6 +13,7 @@ from lstorus.census import (
     primitive_vectors_in_box,
 )
 from lstorus.charpair import CharacteristicPair
+from lstorus.classify import canonical_form
 from lstorus.faceposet import FacePoset
 from lstorus.fixtures import (
     cp_pair,
@@ -23,7 +28,7 @@ from lstorus.fixtures import (
 )
 from lstorus.lattice import PrimitiveVector
 
-from oracles import census_bruteforce
+from oracles import census_bruteforce, census_classes_pairwise
 
 
 def brute_force_count(poset, k, bound):
@@ -87,20 +92,94 @@ def test_census_known_counts(poset, k, bound, total):
     assert enumerate_census(CensusSpec(poset, k, bound)).total_valid == total
 
 
-def test_census_dedup_fallback_above_canonical_bound(monkeypatch):
-    # Force the pairwise-decider path that normally only triggers for posets
-    # beyond the canonical-form size limit, and compare with the normal path.
-    import lstorus.census as census_mod
+def _classes_by_canonical_form(spec, result, labelings):
+    groups = {}
+    for lab in labelings:
+        key = canonical_form(result.pair_for(spec, lab), spec.dedup)
+        groups.setdefault(key, []).append(lab)
+    return sorted((min(members), len(members)) for members in groups.values())
 
-    spec_s = CensusSpec(square_poset(), 2, 1, dedup="strong")
-    spec_w = CensusSpec(square_poset(), 2, 1, dedup="weak")
-    via_canon_s = enumerate_census(spec_s)
-    via_canon_w = enumerate_census(spec_w)
-    monkeypatch.setattr(census_mod, "CANONICAL_FORM_MAX_FACES", 0)
-    via_pairwise_s = enumerate_census(spec_s)
-    via_pairwise_w = enumerate_census(spec_w)
-    assert via_pairwise_s == via_canon_s
-    assert via_pairwise_w == via_canon_w
+
+_POSETS = {
+    "square": square_poset,
+    "triangle": triangle_poset,
+    "simplex3": lambda: simplex_poset(3),
+}
+
+
+@pytest.mark.parametrize(
+    "name,k,bound,dedup",
+    [
+        (name, 2, bound, dedup)
+        for name in ("square", "triangle")
+        for bound in (1, 2)
+        for dedup in ("strong", "weak")
+    ]
+    + [("simplex3", 3, 1, "strong")],
+)
+def test_census_classes_match_references(name, k, bound, dedup):
+    # Two references that share no code with the orbit dedup: pairwise
+    # comparison by the exhaustive-bijection oracle, and grouping by
+    # canonical_form.
+    poset = _POSETS[name]()
+    spec = CensusSpec(poset, k, bound, dedup=dedup)
+    result = enumerate_census(spec)
+    everything = enumerate_census(CensusSpec(poset, k, bound))
+    labelings = [c.representative for c in everything.classes]
+    got = [(c.representative, c.size) for c in result.classes]
+    assert got == census_classes_pairwise(
+        labelings, lambda lab: result.pair_for(spec, lab), dedup
+    )
+    assert got == _classes_by_canonical_form(spec, result, labelings)
+
+
+def _star_poset(n):
+    facets = [f"F{i:04d}" for i in range(n)]
+    return FacePoset([("T", 0)] + [(f, 1) for f in facets], [(f, "T") for f in facets], 1)
+
+
+def test_census_star_strong_classes_are_label_multisets():
+    # Every facet permutation is an automorphism of the star and every
+    # labeling is valid, so a strong class is a multiset of 6 labels from a
+    # box of 4: C(9, 3) = 84 classes of 4^6 = 4096 labelings.
+    result = enumerate_census(CensusSpec(_star_poset(6), 2, 1, dedup="strong"))
+    assert result.total_valid == 4096
+    assert len(result.classes) == comb(9, 3) == 84
+    for c in result.classes:
+        assert c.representative == tuple(sorted(c.representative))
+        counts = Counter(c.representative).values()
+        assert c.size == factorial(6) // prod(factorial(m) for m in counts)
+
+
+def test_census_dedup_rejects_a_bogus_automorphism():
+    # Swapping two adjacent edges of the square is no automorphism: some
+    # labeling's image is not a valid labeling, which is an internal error
+    # (an exception, not an assert, so it also fires under python -O).
+    from lstorus.census import _deduplicate, _facet_permutations
+
+    poset = square_poset()
+    result = enumerate_census(CensusSpec(poset, 2, 1))
+    labelings = [c.representative for c in result.classes]
+    group = list(_facet_permutations(poset, result.facet_order))
+    assert len(group) == 8
+    bogus = (1, 0, 2, 3)
+    assert bogus not in group
+    with pytest.raises(RuntimeError, match="^internal: an automorphism moves"):
+        _deduplicate("strong", labelings, iter(group + [bogus]))
+    with pytest.raises(RuntimeError, match="^internal: a labeling is missing"):
+        _deduplicate("strong", labelings, iter([]))
+
+
+@pytest.mark.parametrize("dedup", ["strong", "weak"])
+def test_census_dedup_stops_once_every_labeling_has_a_class(dedup):
+    from lstorus.census import _deduplicate
+
+    def identity_then_fail():
+        yield (0, 1, 2)
+        raise AssertionError("asked for a second automorphism")
+
+    lab = ((1, 0),) * 3
+    assert _deduplicate(dedup, [lab], identity_then_fail()) == (CensusClass(lab, 1),)
 
 
 def test_census_facet_free_poset():
@@ -144,8 +223,6 @@ def test_census_dedup_representatives_inequivalent():
 def test_census_dedup_idempotent():
     spec = CensusSpec(triangle_poset(), 2, 1, dedup="strong")
     result = enumerate_census(spec)
-    from lstorus.classify import canonical_form
-
     keys = [
         canonical_form(result.pair_for(spec, c.representative), "strong")
         for c in result.classes

@@ -16,6 +16,7 @@ from lstorus.charpair import (
 from lstorus.faceposet import FacePoset
 from lstorus.fixtures import (
     cp_pair,
+    cube_pair,
     half_plane_pair,
     pentagon_poset,
     square_pair,
@@ -78,6 +79,39 @@ def test_label_on_non_facet_rejected():
 def test_wrong_length_label_rejected():
     with pytest.raises(CharPairError):
         square_pair([(1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 1, 0)])
+
+
+@pytest.fixture
+def summand_calls(monkeypatch):
+    """The rows of every is_direct_summand call validation makes."""
+    import lstorus.charpair as charpair_mod
+
+    seen = []
+    real = charpair_mod.is_direct_summand
+    monkeypatch.setattr(
+        charpair_mod, "is_direct_summand", lambda rows: seen.append(rows) or real(rows)
+    )
+    return seen
+
+
+@pytest.mark.parametrize("dim,calls", [(3, 7), (4, 15)])
+def test_summand_test_runs_once_per_star_label_tuple(summand_calls, dim, calls):
+    # cube3 has 26 faces of positive codimension and cube4 has 80; their
+    # sorted star labels take 7 and 15 distinct values.
+    assert validate_characteristic(cube_pair(dim)).valid
+    assert len(summand_calls) == calls
+    assert len({tuple(sorted(rows)) for rows in summand_calls}) == calls
+
+
+def test_memoised_violations_keep_star_order(summand_calls):
+    # V1 and V2 have the same labels in opposite star order: one summand
+    # test serves both, and each detail lists its own star order.
+    report = validate_characteristic(square_pair([(1, 0), (0, 1), (2, 1), (0, 1)]))
+    assert [(v.faces, v.detail) for v in report.violations] == [
+        (("V1",), "facet labels [(0, 1), (2, 1)] do not span a rank-2 direct summand"),
+        (("V2",), "facet labels [(2, 1), (0, 1)] do not span a rank-2 direct summand"),
+    ]
+    assert ((2, 1), (0, 1)) not in summand_calls
 
 
 def test_codim_above_rank_reported():

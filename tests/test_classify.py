@@ -479,7 +479,8 @@ def test_search_order_matches_its_definition(mode):
         product_pair(polygon_pair(5), cp_pair(1)),
     ]
     for cp in pairs:
-        sa = _SearchPoset(shuffled_copy(cp, random.Random(7)), mode)
+        copy = shuffled_copy(cp, random.Random(7))
+        sa = _SearchPoset(copy.poset, copy.labels(), mode)
         (col,) = _joint_refine([sa], [sa.init_key])
         hist = _histogram(col)
         assert _search_order(sa, col, hist) == _greedy_order_by_definition(sa, col, hist)
@@ -528,7 +529,10 @@ def test_iso_candidates_are_exactly_the_isomorphisms(mode):
         other = shuffled_copy(cp, rng)
         found = [
             frozenset(phi.items())
-            for phi in _iso_candidates(_SearchPoset(cp, mode), _SearchPoset(other, mode))
+            for phi in _iso_candidates(
+                _SearchPoset(cp.poset, cp.labels(), mode),
+                _SearchPoset(other.poset, other.labels(), mode),
+            )
         ]
         assert len(found) == len(set(found))
         assert set(found) == _isomorphisms_by_brute_force(cp, other, mode)

@@ -288,6 +288,28 @@ def test_census_more_facets_than_recursion_limit(capsys, tmp_path):
     assert report["total_valid"] == 1
 
 
+@pytest.mark.parametrize("dedup", ["strong", "weak"])
+def test_census_dedup_on_a_wide_star_stops_at_one_automorphism(capsys, tmp_path, dedup):
+    # Aut(P) is S_1500 here.  The single labeling has a class as soon as the
+    # first automorphism is found, so the rest of the group is never searched.
+    facets = [f"F{i:04d}" for i in range(1500)]
+    doc = {
+        "dim_orbit": 1,
+        "faces": [{"id": "T", "codim": 0}] + [{"id": f, "codim": 1} for f in facets],
+        "covers": [[f, "T"] for f in facets],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run_cli(
+        capsys, "census", "--poset", str(path), "--k", "1", "--bound", "1",
+        "--dedup", dedup,
+    )
+    assert code == 0
+    assert report["total_valid"] == 1
+    assert report["class_count"] == 1
+    assert report["classes"][0]["size"] == 1
+
+
 @pytest.mark.parametrize("mode", ["strong", "weak"])
 def test_iso_more_faces_than_recursion_limit(capsys, tmp_path, mode):
     # The search keeps an explicit stack: one level per face.

@@ -15,6 +15,7 @@ from lstorus.lattice import (
     coords_in_basis,
     det_int,
     extend_saturated,
+    gl_sign_normal_form,
     hnf,
     hnf_basis,
     identity,
@@ -386,6 +387,66 @@ def test_rank_and_greedy_independent_match_rational_rank():
             if rational_rank(rows[: i + 1]) > rational_rank(rows[:i])
         ]
         assert chosen == expected, rows
+
+
+def _random_configuration(rng, k):
+    """k x n matrix of nonzero columns; its rank is often below k."""
+    r = rng.randint(1, k)
+    basis = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(r)]
+    basis[0][rng.randrange(k)] = rng.choice((1, -1, 2))
+    n = rng.randint(1, 6)
+    cols = []
+    while len(cols) < n:
+        col = [
+            sum(c * b[i] for c, b in zip((rng.randint(-2, 2) for _ in range(r)), basis))
+            for i in range(k)
+        ]
+        if any(col):
+            cols.append(tuple(col))
+    return transpose(tuple(cols))
+
+
+def _move(m, rng):
+    """A @ m @ D for a random A in GL(k, Z) and random column signs D."""
+    a = random_unimodular(len(m), rng)
+    signs = [rng.choice((1, -1)) for _ in m[0]]
+    return tuple(tuple(x * e for x, e in zip(row, signs)) for row in mat_mul(a, m))
+
+
+def test_gl_sign_normal_form_invariant():
+    rng = random.Random(41)
+    for _ in range(300):
+        m = _random_configuration(rng, rng.randint(1, 3))
+        form = gl_sign_normal_form(m)
+        assert gl_sign_normal_form(_move(m, rng)) == form
+        assert gl_sign_normal_form(form) == form
+        assert len(form) == len(m) and len(form[0]) == len(m[0])
+
+
+def test_gl_sign_normal_form_matches_gl_orbit_match():
+    rng = random.Random(43)
+    outcomes = {True: 0, False: 0}
+    deficient = 0
+    for case in range(400):
+        k = rng.randint(1, 3)
+        m = _random_configuration(rng, k)
+        if case % 3 == 0:
+            other = _random_configuration(rng, k)
+        else:
+            other = [list(row) for row in _move(m, rng)]
+            if case % 3 == 1:
+                j = rng.randrange(len(other[0]))
+                for row in other:
+                    row[j] += rng.randint(-1, 1)
+            other = tuple(tuple(row) for row in other)
+        src, dst = transpose(m), transpose(other)
+        if len(src) != len(dst) or not all(any(v) for v in dst):
+            continue
+        same = gl_sign_normal_form(m) == gl_sign_normal_form(other)
+        assert same == gl_orbit_match(src, dst, k), (m, other)
+        outcomes[same] += 1
+        deficient += rank_int(m) < k
+    assert min(outcomes.values()) >= 50 and deficient >= 50, (outcomes, deficient)
 
 
 def test_transpose_involution():
