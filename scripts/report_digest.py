@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Write the CLI reports that must not change between versions to one JSON file.
+
+Usage: python3 scripts/report_digest.py OUT.json
+
+The dump holds, for the tree the script sits in:
+  * `canon` reports, strong and weak, for every document in fixtures/;
+  * census reports under `--dedup none`, `strong` and `weak` for the
+    (poset, k, B) settings in CENSUS below;
+  * `localcheck` reports for the shapes in LOCALCHECK at a few seeds.
+
+Each entry maps a command line to the exit code and the exact stdout text
+of `lstorus.cli.main`; census entries name the poset instead of its file.
+Run it in two checkouts and compare the dumps with `cmp` to check that a
+change keeps these reports byte-identical.  The script re-executes itself
+with PYTHONHASHSEED=0 so that both runs hash alike.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+if os.environ.get("PYTHONHASHSEED") != "0":
+    os.environ["PYTHONHASHSEED"] = "0"
+    os.execv(sys.executable, [sys.executable, *sys.argv])
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from lstorus import fixtures  # noqa: E402
+from lstorus.cli import main as cli_main  # noqa: E402
+from lstorus.documents import serialize_poset  # noqa: E402
+
+# (poset, k, B): every census setting of the benchmark's census workloads.
+CENSUS = [
+    ("prism", 3, 1),
+    ("simplex3", 3, 1),
+    ("pentagon", 2, 3),
+    ("hexagon", 2, 2),
+    ("square", 2, 4),
+    ("square", 2, 3),
+    ("pentagon", 2, 2),
+    ("hexagon", 2, 1),
+    ("triangle", 3, 1),
+]
+POSETS = {
+    "prism": fixtures.prism_poset,
+    "simplex3": lambda: fixtures.simplex_poset(3),
+    "triangle": fixtures.triangle_poset,
+    "square": fixtures.square_poset,
+    "pentagon": fixtures.pentagon_poset,
+    "hexagon": lambda: fixtures.polygon_poset(6),
+}
+# (n, k, m) shapes of the benchmark's localcheck workload, and its sample count.
+LOCALCHECK = [(1, 2, 1), (2, 3, 1), (3, 3, 0), (2, 2, 2)]
+LOCALCHECK_SEEDS = range(3)
+LOCALCHECK_SAMPLES = 50
+
+
+def run(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+def digest(workdir: pathlib.Path) -> dict[str, dict]:
+    entries = {}
+    # Relative paths keep the reports that name a path free of the checkout.
+    for path in sorted(pathlib.Path("fixtures").glob("*.json")):
+        for mode in ("strong", "weak"):
+            argv = ["canon", str(path), "--mode", mode]
+            entries[" ".join(argv)] = run(argv)
+    for name, k, bound in CENSUS:
+        poset = workdir / f"{name}.json"
+        poset.write_text(serialize_poset(POSETS[name]()), encoding="utf-8")
+        for dedup in ("none", "strong", "weak"):
+            tail = ["--k", str(k), "--bound", str(bound), "--dedup", dedup]
+            label = " ".join(["census", "--poset", name] + tail)
+            entries[label] = run(["census", "--poset", str(poset)] + tail)
+    for n, k, m in LOCALCHECK:
+        for seed in LOCALCHECK_SEEDS:
+            argv = [
+                "localcheck", "--n", str(n), "--k", str(k), "--m", str(m),
+                "--samples", str(LOCALCHECK_SAMPLES), "--seed", str(seed),
+            ]
+            entries[" ".join(argv)] = run(argv)
+    return entries
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    out = pathlib.Path(sys.argv[1]).resolve()
+    os.chdir(ROOT)
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = digest(pathlib.Path(tmp))
+    out.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} reports to {out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -16,17 +16,17 @@ dedup is built on it.
 
 ``canonical_form`` produces a string equal across a mode's equivalence class
 by minimizing a deterministic serialization over an individualization-
-refinement tree (and, for weak mode, over a finite equivariant family of
-label transforms).  It is bounded to posets with at most 64 faces; the
+refinement tree.  The weak form serializes label classes, not labels, and
+adds the least GL(k, Z) x sign normal form of the label matrix over the
+tree's least leaves.  It is bounded to posets with at most 64 faces; the
 deciders have no such bound.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .charpair import CharacteristicPair
 from .faceposet import FacePoset
@@ -34,13 +34,9 @@ from .lattice import (
     Matrix,
     PrimitiveVector,
     apply_auto,
-    canonical_sign,
-    coords_in_basis,
     det_int,
-    hnf_with_transform,
-    saturate,
+    gl_sign_normal_form,
     solve_unimodular,
-    transpose,
 )
 
 CANONICAL_FORM_MAX_FACES = 64
@@ -253,11 +249,16 @@ def _iso_candidates(
     """Yield poset isomorphisms (mate-consistent) in deterministic order.
 
     The backtracking runs on an explicit stack, so its depth is not bounded
-    by the interpreter's recursion limit.
+    by the interpreter's recursion limit.  For ``sa is sb`` (automorphisms)
+    one refinement serves both sides: interning one copy of the keys gives
+    the same colour ids as interning two.
     """
     if len(sa.ids) != len(sb.ids):
         return
-    col_a, col_b = _joint_refine([sa, sb], [sa.init_key, sb.init_key])
+    if sa is sb:
+        col_a = col_b = _joint_refine([sa], [sa.init_key])[0]
+    else:
+        col_a, col_b = _joint_refine([sa, sb], [sa.init_key, sb.init_key])
     hist_a = _histogram(col_a)
     if hist_a != _histogram(col_b):
         return
@@ -554,25 +555,20 @@ def canonical_form(cp: CharacteristicPair, mode: str) -> str:
     return _canon_weak(cp)
 
 
-def _canon_strong(cp: CharacteristicPair) -> str:
-    labels = cp.labels()
-    struct = _SearchPoset(cp.poset, labels, "strong")
+def _least_leaves(
+    struct: _SearchPoset, serialize: Callable[[list[str]], str]
+) -> tuple[str, list[list[str]]]:
+    """Individualization-refinement search over ``struct``: the least
+    serialization of a leaf, and the face order of every leaf reaching it.
 
-    def serialize(order: list[str]) -> str:
-        index = {f: i for i, f in enumerate(order)}
-        codims = ",".join(str(struct.codim[f]) for f in order)
-        covers = sorted(
-            (index[lo], index[up])
-            for lo, up in cp.poset.covers()
-        )
-        cov = ";".join(f"{lo}>{up}" for lo, up in covers)
-        lam = ";".join(
-            f"{index[f]}:" + ",".join(str(x) for x in labels[f].coords)
-            for f in sorted(labels, key=lambda f: index[f])
-        )
-        return f"k={cp.k}|d={cp.dim_orbit}|c={codims}|cov={cov}|lam={lam}"
+    A leaf is a discrete refined colouring, read as a face order.  The tree
+    depends on ``struct`` only up to isomorphism, so the least serialization
+    is invariant; two least leaves differ by an automorphism of whatever the
+    serialization records (McKay and Piperno, "Practical graph isomorphism,
+    II", J. Symbolic Comput. 2014).
+    """
 
-    def descend(col: dict[str, int]) -> str:
+    def descend(col: dict[str, int]) -> tuple[str, list[list[str]]]:
         cells: dict[int, list[str]] = {}
         for f, c in col.items():
             cells.setdefault(c, []).append(f)
@@ -583,114 +579,85 @@ def _canon_strong(cp: CharacteristicPair) -> str:
                 break
         if target is None:
             order = sorted(struct.ids, key=lambda f: col[f])
-            return serialize(order)
-        best = None
+            return serialize(order), [order]
+        best, leaves = None, []
         for f in sorted(cells[target]):
             keys = {g: (col[g], 1 if g == f else 0) for g in struct.ids}
-            s = descend(_joint_refine([struct], [keys])[0])
+            s, sub = descend(_joint_refine([struct], [keys])[0])
             if best is None or s < best:
-                best = s
-        return best
+                best, leaves = s, sub
+            elif s == best:
+                leaves.extend(sub)
+        return best, leaves
 
     return descend(_joint_refine([struct], [struct.init_key])[0])
 
 
-def _canon_weak(cp: CharacteristicPair) -> str:
-    labels = cp.labels()
+def _shape_serializer(
+    cp: CharacteristicPair, struct: _SearchPoset
+) -> Callable[[list[str]], tuple[dict[str, int], str]]:
+    """Map a face order to its face index and to k, d, the codimensions and
+    the covers written in that order."""
+    covers = cp.poset.covers()
     head = f"k={cp.k}|d={cp.dim_orbit}"
-    if not labels:
-        bare = CharacteristicPair(cp.poset, cp.k, {})
-        return f"{head}|r=0|{_canon_strong(bare)}"
 
-    rows = tuple(v.coords for v in labels.values())
-    sat = saturate(rows)
-    r = sat.rank
-    coord_labels = {
-        f: PrimitiveVector(coords_in_basis(sat.basis, v.coords))
-        for f, v in labels.items()
-    }
-    transforms = _weak_transforms(cp, coord_labels, r)
-
-    best_key = None
-    survivors = []
-    for t in transforms:
-        multiset = tuple(
-            sorted(_row_transform(v.coords, t) for v in coord_labels.values())
+    def shape(order: list[str]) -> tuple[dict[str, int], str]:
+        index = {f: i for i, f in enumerate(order)}
+        codims = ",".join(str(struct.codim[f]) for f in order)
+        cov = ";".join(
+            f"{lo}>{up}" for lo, up in sorted((index[lo], index[up]) for lo, up in covers)
         )
-        if best_key is None or multiset < best_key:
-            best_key = multiset
-            survivors = [t]
-        elif multiset == best_key:
-            survivors.append(t)
+        return index, f"{head}|c={codims}|cov={cov}"
 
-    best = None
-    for t in survivors:
-        relabeled = CharacteristicPair(
-            cp.poset,
-            r,
-            {f: PrimitiveVector(_row_transform(v.coords, t)) for f, v in coord_labels.items()},
+    return shape
+
+
+def _canon_strong(cp: CharacteristicPair) -> str:
+    labels = cp.labels()
+    struct = _SearchPoset(cp.poset, labels, "strong")
+    shape = _shape_serializer(cp, struct)
+
+    def serialize(order: list[str]) -> str:
+        index, head = shape(order)
+        lam = ";".join(
+            f"{index[f]}:" + ",".join(str(x) for x in labels[f].coords)
+            for f in sorted(labels, key=lambda f: index[f])
         )
-        s = _canon_strong(relabeled)
-        if best is None or s < best:
-            best = s
-    mk = ";".join(",".join(str(x) for x in v) for v in best_key)
-    return f"{head}|r={r}|m={mk}|{best}"
+        return f"{head}|lam={lam}"
+
+    return _least_leaves(struct, serialize)[0]
 
 
-def _row_transform(v: tuple[int, ...], t: Matrix) -> tuple[int, ...]:
-    return canonical_sign(
-        tuple(sum(v[i] * t[i][j] for i in range(len(v))) for j in range(len(t[0])))
-    )
+def _canon_weak(cp: CharacteristicPair) -> str:
+    """Least weak-invariant serialization, plus the least GL(k, Z) x sign
+    normal form of the label matrix over the leaves that reach it.
 
-
-def _frame_transform(frame: Sequence[tuple[int, ...]]) -> Optional[Matrix]:
-    """Transform T sending the frame rows to their column-Hermite image, or
-    None when the square frame is rationally dependent.
-
-    For the row-stacked frame B there is a unique decomposition B = H @ W
-    with W unimodular and H the canonical column-form; T = W^{-1} makes
-    B @ T = H, so T is equivariant under right multiplication.
+    The serialization records the label classes, not the labels, so its
+    least leaves are exactly the automorphisms of the poset that keep the
+    label-class partition.  Every weak isomorphism keeps that partition, so
+    the minimum over those leaves is a complete weak invariant.
     """
-    h, u = hnf_with_transform(transpose(tuple(frame)))
-    if not any(h[-1]):
-        return None
-    return transpose(u)
+    labels = cp.labels()
+    struct = _SearchPoset(cp.poset, labels, "weak")
+    shape = _shape_serializer(cp, struct)
 
+    def serialize(order: list[str]) -> str:
+        index, head = shape(order)
+        first: dict[tuple[int, ...], int] = {}
+        cls = []
+        for f in order:
+            c = struct.label_class.get(f)
+            if c is not None:
+                cls.append(f"{index[f]}:{first.setdefault(c, index[f])}")
+        return f"{head}|cls={';'.join(cls)}"
 
-def _weak_transforms(
-    cp: CharacteristicPair,
-    coord_labels: dict[str, PrimitiveVector],
-    r: int,
-) -> list[Matrix]:
-    """Equivariant family of GL(r, Z) relabelings to minimize over.
-
-    Frames come from the facet stars of full-rank (codimension == k) faces
-    when those exist; otherwise from every ordered tuple of signed distinct
-    label vectors.  Dependent frames are skipped.
-    """
-    frames: list[tuple[tuple[int, ...], ...]] = []
-    full_rank_faces = (
-        cp.poset.faces_of_codim(cp.k) if r == cp.k else []
-    )
-    if full_rank_faces:
-        for face in full_rank_faces:
-            star = cp.poset.facets_containing(face)
-            vecs = [coord_labels[f].coords for f in star]
-            for perm in itertools.permutations(vecs):
-                for signs in itertools.product((1, -1), repeat=r):
-                    frames.append(
-                        tuple(
-                            tuple(e * x for x in row)
-                            for e, row in zip(signs, perm)
-                        )
-                    )
-    else:
-        distinct = sorted({v.coords for v in coord_labels.values()})
-        signed = [row for v in distinct for row in ((v), tuple(-x for x in v))]
-        frames.extend(itertools.permutations(signed, r))
-    out: dict[Matrix, None] = {}
-    for frame in frames:
-        t = _frame_transform(frame)
-        if t is not None:
-            out.setdefault(t)
-    return sorted(out)
+    best, leaves = _least_leaves(struct, serialize)
+    lam = ""
+    if labels:
+        matrices = {
+            tuple(zip(*(labels[f].coords for f in order if f in labels)))
+            for order in leaves
+        }
+        form = min(gl_sign_normal_form(m) for m in matrices)
+        lam = ";".join(",".join(str(x) for x in row) for row in form)
+    return f"{best}|lam={lam}"

@@ -123,7 +123,11 @@ def torus_act(angles: Sequence[float], p: ModelPoint, n: int) -> ModelPoint:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Sparse polynomial: tuples of exponents over nvars variables."""
+    """Sparse polynomial: tuples of exponents over nvars variables.
+
+    Evaluation follows a per-term plan of the nonzero (variable, exponent)
+    pairs, in variable order.
+    """
 
     nvars: int
     terms: tuple[tuple[tuple[int, ...], float], ...]
@@ -141,16 +145,18 @@ class Polynomial:
                 items.append((e, c))
         object.__setattr__(self, "nvars", int(nvars))
         object.__setattr__(self, "terms", tuple(sorted(items)))
+        object.__setattr__(self, "_plan", tuple(
+            (c, tuple((i, v) for i, v in enumerate(e) if v)) for e, c in self.terms
+        ))
 
     def __call__(self, values: Sequence[float]) -> float:
         if len(values) != self.nvars:
             raise LocalModelError("wrong number of variables")
         total = 0.0
-        for exps, coeff in self.terms:
+        for coeff, powers in self._plan:
             prod = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    prod *= v ** e
+            for i, e in powers:
+                prod *= values[i] ** e
             total += prod
         return total
 
@@ -204,6 +210,25 @@ class YScaleLayer:
 Layer = XScaleLayer | YShearLayer | YScaleLayer
 
 
+def _run_layers(
+    layers: Sequence[Layer], n: int, x: Sequence[float], y: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """The state x + y after the layers, updated in place, and the
+    log-multiplier of each x_i.  The layers are assumed valid."""
+    state = list(x) + list(y)
+    logs = [0.0] * n
+    for layer in layers:
+        if isinstance(layer, XScaleLayer):
+            val = layer.q(state)
+            logs[layer.index] += val
+            state[layer.index] *= math.exp(val)
+        elif isinstance(layer, YShearLayer):
+            state[n + layer.index] += layer.p(state)
+        else:
+            state[n + layer.index] *= layer.factor
+    return state, logs
+
+
 @dataclass(frozen=True)
 class FaceDiffeo:
     """A face-preserving diffeomorphism of R^n_{>=0} x R^m as layers."""
@@ -250,20 +275,8 @@ class FaceDiffeo:
         so Phi_i(x, y) == x_i * exp(logs[i]) holds exactly."""
         if len(x) != self.n or len(y) != self.m:
             raise LocalModelError("point does not match the chart dimensions")
-        xs = list(x)
-        ys = list(y)
-        logs = [0.0] * self.n
-        for layer in self.layers:
-            state = xs + ys
-            if isinstance(layer, XScaleLayer):
-                val = layer.q(state)
-                logs[layer.index] += val
-                xs[layer.index] *= math.exp(val)
-            elif isinstance(layer, YShearLayer):
-                ys[layer.index] += layer.p(state)
-            else:
-                ys[layer.index] *= layer.factor
-        return tuple(xs), tuple(ys), tuple(logs)
+        state, logs = _run_layers(self.layers, self.n, x, y)
+        return tuple(state[: self.n]), tuple(state[self.n :]), tuple(logs)
 
     def apply(self, q: OrbitPoint) -> OrbitPoint:
         xs, ys, _ = self.apply_with_logs(q.x, q.y)
@@ -291,7 +304,8 @@ class TorusMap:
 
     Stored as a sum of terms, each a k-tuple of polynomials evaluated after
     an optional prefix of layers; that closure makes composition of lifted
-    diffeomorphisms exact.
+    diffeomorphisms exact.  Prefixes are validated once, on construction,
+    and each distinct prefix runs once per evaluation.
     """
 
     k: int
@@ -299,14 +313,25 @@ class TorusMap:
     m: int
     terms: tuple[tuple[tuple[Layer, ...], tuple[Polynomial, ...], int], ...] = ()
 
+    def __post_init__(self) -> None:
+        slot_of: dict[tuple[Layer, ...], int] = {}
+        for prefix, _, _ in self.terms:
+            if prefix not in slot_of:
+                FaceDiffeo(self.n, self.m, prefix)
+                slot_of[prefix] = len(slot_of)
+        object.__setattr__(
+            self, "_slots", tuple(slot_of[prefix] for prefix, _, _ in self.terms)
+        )
+
     def angles(self, x: Sequence[float], y: Sequence[float]) -> tuple[float, ...]:
         total = [0.0] * self.k
-        for prefix, polys, sign in self.terms:
-            if prefix:
-                xs, ys, _ = FaceDiffeo(self.n, self.m, prefix).apply_with_logs(x, y)
-                state = list(xs) + list(ys)
-            else:
-                state = list(x) + list(y)
+        states: dict[int, list[float]] = {}
+        for slot, (prefix, polys, sign) in zip(self._slots, self.terms):
+            state = states.get(slot)
+            if state is None:
+                if prefix and (len(x) != self.n or len(y) != self.m):
+                    raise LocalModelError("point does not match the chart dimensions")
+                state = states[slot] = _run_layers(prefix, self.n, x, y)[0]
             for i, poly in enumerate(polys):
                 total[i] += sign * poly(state)
         return tuple(total)

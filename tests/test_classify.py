@@ -27,6 +27,7 @@ from lstorus.fixtures import (
     pentagon_poset,
     polygon_pair,
     prism_pair,
+    prism_poset,
     product_poset,
     square_pair,
 )
@@ -448,6 +449,101 @@ def test_known_answers_on_symmetric_posets(family, mode):
         assert not exhaustive_pair_equivalent(base, negative, mode)
 
 
+def _with_label(cp, facet, label):
+    labels = cp.labels()
+    labels[facet] = PrimitiveVector(label)
+    return CharacteristicPair(cp.poset, cp.k, labels)
+
+
+def _strip_pairs():
+    from lstorus.faceposet import FacePoset
+
+    strip = FacePoset(
+        [("T", 0), ("E0", 1), ("E1", 1)], [("E0", "T"), ("E1", "T")], 2
+    )
+    return [
+        CharacteristicPair(strip, 2, {"E0": (1, 0), "E1": (1, 0)}),
+        CharacteristicPair(strip, 2, {"E0": (1, 0), "E1": (0, 1)}),
+        CharacteristicPair(strip, 2, {"E0": (1, 1), "E1": (1, -1)}),
+    ]
+
+
+CUBE3_FACETS = ("F0|T|T", "F1|T|T", "T|F0|T", "T|F1|T", "T|T|F0", "T|T|F1")
+# Two valid cube3 labelings with six distinct labels each, so the weak
+# colouring sees the bare cube; they are not weakly equivalent.
+CUBE3_DISTINCT = [
+    ((0, 0, 1), (0, 1, -1), (0, 1, 0), (1, -1, 1), (1, 0, -1), (1, 0, 1)),
+    ((0, 0, 1), (0, 1, -1), (0, 1, 0), (1, 0, -1), (1, -1, -1), (1, 1, -1)),
+]
+# Pairs of one family: a base and valid single-facet variants that are weak
+# negatives (the same label-class sizes where a single change can keep them).
+WEAK_CANON_FAMILIES = {
+    "cube3": lambda: [
+        cube_pair(3),
+        _with_label(cube_pair(3), "F0|T|T", (1, 1, 0)),
+        _with_label(cube_pair(3), "F0|T|T", (1, 1, 1)),
+    ],
+    "prism": lambda: [prism_pair(), _with_label(prism_pair(), "F0|T", (1, -1, 1))],
+    "cp2xcp1": lambda: [
+        product_pair(cp_pair(2), cp_pair(1)),
+        _with_label(product_pair(cp_pair(2), cp_pair(1)), "F0|T", (1, -1, -1)),
+    ],
+    "pentagonxcp1": lambda: [
+        product_pair(polygon_pair(5), cp_pair(1)),
+        _with_label(product_pair(polygon_pair(5), cp_pair(1)), "E4|T", (1, -1, 1)),
+    ],
+    "hirzebruch1xcp1": lambda: [
+        product_pair(hirzebruch_pair(1), cp_pair(1)),
+        _with_label(
+            product_pair(hirzebruch_pair(1), cp_pair(1)), "E0|T", (1, -1, 0)
+        ),
+    ],
+    "strip": _strip_pairs,
+    "cube3-distinct": lambda: [
+        CharacteristicPair(cube_poset(3), 3, dict(zip(CUBE3_FACETS, labels)))
+        for labels in CUBE3_DISTINCT
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(WEAK_CANON_FAMILIES))
+def test_weak_canonical_form_agrees_with_decider(family):
+    bases = WEAK_CANON_FAMILIES[family]()
+    rng = random.Random(sum(map(ord, family)))
+    pool = []
+    for cp in bases:
+        assert validate_characteristic(cp).valid
+        pool.append(cp)
+        pool.append(relabel(shuffled_copy(cp, rng), random_unimodular(cp.k, rng)))
+    forms = [canonical_form(cp, "weak") for cp in pool]
+    # Each base is weakly equivalent to its own copy and to no other base.
+    assert len(set(forms)) == len(bases)
+    for i, j in itertools.combinations(range(len(pool)), 2):
+        same = forms[i] == forms[j]
+        assert same == (i // 2 == j // 2)
+        assert same == weak_equivalence(pool[i], pool[j]).equivalent, (family, i, j)
+
+
+def test_weak_canonical_form_partition_matches_census_on_prism():
+    """Weak classes from canonical forms equal the census weak classes on the
+    prism, k=3, B=1.  Strong classes refine weak ones and the weak form is a
+    strong invariant, so the forms are taken per strong class."""
+    from lstorus.census import CensusSpec, enumerate_census
+
+    strong_spec = CensusSpec(prism_poset(), 3, 1, dedup="strong")
+    strong = enumerate_census(strong_spec)
+    weak = enumerate_census(CensusSpec(prism_poset(), 3, 1, dedup="weak"))
+    by_form = {}
+    for cls in strong.classes:
+        form = canonical_form(strong.pair_for(strong_spec, cls.representative), "weak")
+        rep, size = by_form.get(form, (cls.representative, 0))
+        by_form[form] = (min(rep, cls.representative), size + cls.size)
+    assert sorted(by_form.values()) == [
+        (c.representative, c.size) for c in weak.classes
+    ]
+    assert sum(size for _, size in by_form.values()) == weak.total_valid == 10164
+
+
 def _greedy_order_by_definition(sa, col, hist):
     """The search order straight from its definition, in O(n^2) scans."""
     def mates(f):
@@ -536,6 +632,32 @@ def test_iso_candidates_are_exactly_the_isomorphisms(mode):
         ]
         assert len(found) == len(set(found))
         assert set(found) == _isomorphisms_by_brute_force(cp, other, mode)
+
+
+def test_poset_automorphisms_refine_once_and_match_a_two_copy_search(monkeypatch):
+    import lstorus.classify as classify
+
+    refined = []
+    real_refine = classify._joint_refine
+
+    def counting(structs, init_keys):
+        refined.append(len(structs))
+        return real_refine(structs, init_keys)
+
+    monkeypatch.setattr(classify, "_joint_refine", counting)
+    for poset in (cube_poset(3), prism_poset(), pentagon_poset()):
+        refined.clear()
+        autos = list(classify.poset_automorphisms(poset))
+        assert refined == [1]
+        # Same colour ids as a joint refinement of two copies, so the same
+        # automorphisms come out in the same order.
+        two_copies = list(classify._iso_candidates(
+            classify._SearchPoset(poset, {}, "strong"),
+            classify._SearchPoset(poset, {}, "strong"),
+        ))
+        assert refined == [1, 2]
+        assert autos == two_copies
+    assert len(autos) == 10  # the pentagon's dihedral group
 
 
 def test_canonical_form_mode_validation():

@@ -423,6 +423,50 @@ def test_internal_error_is_reported(capsys, monkeypatch):
     }
 
 
+def test_parser_is_shared_and_keeps_nothing_between_calls(capsys, tmp_path):
+    from lstorus.cli import build_parser
+
+    assert build_parser() is build_parser()
+    cp2 = str(FIXTURES / "cp2.json")
+
+    # Different subcommands in turn: each gets only its own options.
+    parser = build_parser()
+    canon = vars(parser.parse_args(["canon", cp2, "--mode", "weak"]))
+    assert canon["mode"] == "weak"
+    validate = vars(parser.parse_args(["validate", cp2]))
+    assert set(validate) == {"command", "path", "output", "func"}
+    assert parser.parse_args(["canon", cp2]).mode == "strong"
+
+    code, weak = run_cli(capsys, "canon", cp2, "--mode", "weak")
+    assert code == 0 and weak["mode"] == "weak"
+    code, strong = run_cli(capsys, "canon", cp2)
+    assert code == 0 and strong["mode"] == "strong"
+    assert strong["canonical_form"] != weak["canonical_form"]
+
+    # --output on one call, absent on the next: the second writes no file.
+    out = tmp_path / "report.json"
+    code, first = run_cli(capsys, "validate", cp2, "--output", str(out))
+    assert code == 0
+    code, second = run_cli(capsys, "validate", str(FIXTURES / "cp1.json"))
+    assert code == 0 and second != first
+    assert json.loads(out.read_text(encoding="utf-8")) == first
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    # A usage error after successful calls is still reported as one.
+    code, report = run_cli(capsys, "canon")
+    assert code == 2
+    assert report["command"] == "canon"
+    assert report["error"]["type"] == "usage"
+    code, report = run_cli(capsys, "validate", cp2)
+    assert code == 0 and report["valid"]
+
+    # --help after all of that is still plain text with exit 0.
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lstorus")
+
+
 def test_localcheck_passes_and_is_deterministic(capsys):
     args = [
         "localcheck",

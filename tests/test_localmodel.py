@@ -276,6 +276,44 @@ def test_layer_validation():
         FaceDiffeo(1, 0, [XScaleLayer(1, Polynomial.zero(1))])
 
 
+def test_torus_map_validates_prefixes_on_construction():
+    own = XScaleLayer(0, Polynomial(2, {(1, 0): 1.0}))  # q involves x_0 itself
+    with pytest.raises(LocalModelError):
+        TorusMap(1, 1, 1, (((own,), (Polynomial.zero(2),), 1),))
+
+
+def _angles_term_by_term(f, x, y):
+    """TorusMap.angles from its definition: every term runs its own prefix,
+    and polynomials are summed term by term over all exponents."""
+    total = [0.0] * f.k
+    for prefix, polys, sign in f.terms:
+        xs, ys, _ = FaceDiffeo(f.n, f.m, prefix).apply_with_logs(x, y)
+        state = list(xs) + list(ys)
+        for i, poly in enumerate(polys):
+            value = 0.0
+            for exps, coeff in poly.terms:
+                prod = coeff
+                for v, e in zip(state, exps):
+                    if e:
+                        prod *= v ** e
+                value += prod
+            total[i] += sign * value
+    return tuple(total)
+
+
+def test_torus_map_angles_match_term_by_term_evaluation():
+    rng = random.Random(13)
+    for _ in range(10):
+        specs = [random_spec(rng, 2, 3, 1) for _ in range(3)]
+        composed = specs[2].compose_after(specs[1].compose_after(specs[0]))
+        f = composed.f1
+        prefixes = [prefix for prefix, _, _ in f.terms]
+        assert len(set(prefixes)) < len(prefixes)  # shared prefixes occur
+        for _ in range(20):
+            q = random_orbit_point(rng, 2, 1)
+            assert f.angles(q.x, q.y) == _angles_term_by_term(f, q.x, q.y)
+
+
 def test_spec_validation():
     with pytest.raises(LocalModelError):
         SmoothMapSpec(
