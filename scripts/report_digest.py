@@ -4,13 +4,16 @@
 Usage: python3 scripts/report_digest.py OUT.json
 
 The dump holds, for the tree the script sits in:
-  * `canon` reports, strong and weak, for every document in fixtures/;
+  * `validate` and `canon` (strong and weak) reports for every document in
+    fixtures/;
+  * `validate` reports for the invalid documents in INVALID below;
   * census reports under `--dedup none`, `strong` and `weak` for the
     (poset, k, B) settings in CENSUS below;
   * `localcheck` reports for the shapes in LOCALCHECK at a few seeds.
 
 Each entry maps a command line to the exit code and the exact stdout text
-of `lstorus.cli.main`; census entries name the poset instead of its file.
+of `lstorus.cli.main`; census and INVALID entries name the input instead of
+its file.
 Run it in two checkouts and compare the dumps with `cmp` to check that a
 change keeps these reports byte-identical.  The script re-executes itself
 with PYTHONHASHSEED=0 so that both runs hash alike.
@@ -34,8 +37,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from lstorus import fixtures  # noqa: E402
+from lstorus.charpair import CharacteristicPair  # noqa: E402
 from lstorus.cli import main as cli_main  # noqa: E402
-from lstorus.documents import serialize_poset  # noqa: E402
+from lstorus.documents import pair_to_object, poset_to_object, serialize_poset  # noqa: E402
 
 # (poset, k, B): every census setting of the benchmark's census workloads.
 CENSUS = [
@@ -63,6 +67,35 @@ LOCALCHECK_SEEDS = range(3)
 LOCALCHECK_SAMPLES = 50
 
 
+def _square() -> dict:
+    return pair_to_object(fixtures.square_pair([(1, 0), (0, 1), (1, 0), (0, 1)]))
+
+
+def _without_covers(doc: dict, *removed: list[str]) -> dict:
+    return {**doc, "covers": [c for c in doc["covers"] if c not in removed]}
+
+
+def _corner(n: int, *removed: list[str]) -> dict:
+    return _without_covers(poset_to_object(fixtures.corner_poset(n)), *removed)
+
+
+def _cube4() -> dict:
+    return poset_to_object(fixtures.cube_poset(4))
+
+
+# Invalid `validate` inputs, one per kind of failure.
+INVALID = {
+    "bad-label": lambda: {**_square(), "lambda": {**_square()["lambda"], "E2": [2, 1]}},
+    "missing-cover": lambda: _without_covers(_square(), ["V0", "E0"]),
+    "codim-rank": lambda: pair_to_object(CharacteristicPair(
+        fixtures.square_poset(), 1, {f"E{i}": (1,) for i in range(4)})),
+    "interval-order-corner3": lambda: _corner(3, ["A", "T"], ["B", "T"]),
+    "interval-order-corner4": lambda: _corner(
+        4, ["ABC", "AB"], ["A", "T"], ["B", "T"], ["C", "T"]),
+    "interval-order-cube4": lambda: _without_covers(_cube4(), sorted(_cube4()["covers"])[-1]),
+}
+
+
 def run(argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -74,9 +107,15 @@ def digest(workdir: pathlib.Path) -> dict[str, dict]:
     entries = {}
     # Relative paths keep the reports that name a path free of the checkout.
     for path in sorted(pathlib.Path("fixtures").glob("*.json")):
+        argv = ["validate", str(path)]
+        entries[" ".join(argv)] = run(argv)
         for mode in ("strong", "weak"):
             argv = ["canon", str(path), "--mode", mode]
             entries[" ".join(argv)] = run(argv)
+    for name, make in INVALID.items():
+        doc = workdir / f"{name}.json"
+        doc.write_text(json.dumps(make()), encoding="utf-8")
+        entries[f"validate {name}"] = run(["validate", str(doc)])
     for name, k, bound in CENSUS:
         poset = workdir / f"{name}.json"
         poset.write_text(serialize_poset(POSETS[name]()), encoding="utf-8")

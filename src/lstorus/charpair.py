@@ -47,8 +47,8 @@ class Attestations:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, bool]) -> "Attestations":
-        known = {"sections_exist", "faces_contractible", "four_faces_matched"}
-        extra = set(d) - known
+        known = cls().as_dict()
+        extra = set(d) - set(known)
         if extra:
             raise CharPairError(f"unknown attestation keys {sorted(extra)}")
         vals = {}
@@ -73,9 +73,10 @@ class CharacteristicPair:
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise CharPairError(f"torus rank must be a positive integer, got {k!r}")
         facets = poset.facets()
+        facet_set = set(facets)
         labels: dict[str, PrimitiveVector] = {}
         for fid, value in facet_lambda.items():
-            if fid not in facets:
+            if fid not in facet_set:
                 raise CharPairError(f"label on {fid!r}, which is not a facet")
             vec = value if isinstance(value, PrimitiveVector) else PrimitiveVector(value)
             if vec.k != k:
@@ -125,43 +126,49 @@ def validate_characteristic(cp: CharacteristicPair) -> ValidityReport:
     The underlying poset must already be valid; niceness is what makes the
     facet stars the right data to test.
     """
-    poset_report = cp.poset.validate()
-    if not poset_report.valid:
+    poset = cp.poset
+    if not poset.validate().valid:
         raise CharPairError(
             "poset is invalid; validate the poset before the labeling"
         )
-    violations: list[Violation] = []
+    found: dict[str, Violation] = {}
+    passed: set[str] = set()
     # The summand test does not depend on row order, so it is memoised on
     # each face's sorted star labels; details keep the star order.
     summand: dict[Matrix, bool] = {}
-    for fid in cp.poset.ids():
-        n = cp.poset.codim(fid)
+    # Deeper faces first.  The star of a face is part of the star of each
+    # face below it, and part of a basis of a direct summand spans one, so a
+    # face with a lower cover that passed passes without a test.
+    for fid in reversed(poset.linear_extension()):
+        n = poset.codim(fid)
         if n == 0:
             continue
         if n > cp.k:
-            violations.append(
-                Violation(
-                    "codim-rank",
-                    (fid,),
-                    f"codimension {n} exceeds torus rank {cp.k}",
-                )
+            found[fid] = Violation(
+                "codim-rank",
+                (fid,),
+                f"codimension {n} exceeds torus rank {cp.k}",
             )
+            continue
+        if not passed.isdisjoint(poset.covered_by(fid)):
+            passed.add(fid)
             continue
         rows = cp.star_matrix(fid)
         key = tuple(sorted(rows))
         ok = summand.get(key)
         if ok is None:
-            ok = summand[key] = is_direct_summand(rows)
-        if not ok:
-            violations.append(
-                Violation(
-                    "summand",
-                    (fid,),
-                    f"facet labels {list(rows)} do not span a rank-{n} "
-                    f"direct summand",
-                )
+            ok = summand[key] = is_direct_summand(key)
+        if ok:
+            passed.add(fid)
+        else:
+            found[fid] = Violation(
+                "summand",
+                (fid,),
+                f"facet labels {list(rows)} do not span a rank-{n} "
+                f"direct summand",
             )
-    return ValidityReport(not violations, tuple(violations))
+    violations = tuple(v for _, v in sorted(found.items()))
+    return ValidityReport(not violations, violations)
 
 
 def local_signature(cp: CharacteristicPair, fid: str) -> tuple[int, int, int]:

@@ -40,54 +40,60 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise DocumentError(message)
+_DOCUMENT_KEYS = frozenset({"k", "dim_orbit", "faces", "covers", "lambda", "attestations"})
+_FACE_KEYS = frozenset({"id", "codim"})
 
 
 def parse_document(text: str) -> ParsedDocument:
-    """Parse a pair document; labels are optional, everything else is not."""
+    """Parse a pair document; labels are optional, everything else is not.
+
+    Values come from ``json.loads``, so ``type(x) is int`` is exactly "an
+    integer and not a boolean".  Each check formats its message only when
+    it fails.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"JSON parse error: {exc.msg}", line=exc.lineno, col=exc.colno
         ) from exc
-    _expect(isinstance(raw, dict), "document root must be an object")
-    unknown = set(raw) - {"k", "dim_orbit", "faces", "covers", "lambda", "attestations"}
-    _expect(not unknown, f"unknown document keys {sorted(unknown)}")
+    if type(raw) is not dict:
+        raise DocumentError("document root must be an object")
+    unknown = raw.keys() - _DOCUMENT_KEYS
+    if unknown:
+        raise DocumentError(f"unknown document keys {sorted(unknown)}")
     for key in ("dim_orbit", "faces", "covers"):
-        _expect(key in raw, f"missing required key {key!r}")
+        if key not in raw:
+            raise DocumentError(f"missing required key {key!r}")
 
     dim_orbit = raw["dim_orbit"]
-    _expect(
-        isinstance(dim_orbit, int) and not isinstance(dim_orbit, bool) and dim_orbit >= 0,
-        "dim_orbit must be a nonnegative integer",
-    )
+    if type(dim_orbit) is not int or dim_orbit < 0:
+        raise DocumentError("dim_orbit must be a nonnegative integer")
     faces_raw = raw["faces"]
-    _expect(isinstance(faces_raw, list), "faces must be an array")
+    if type(faces_raw) is not list:
+        raise DocumentError("faces must be an array")
     faces = []
     for i, entry in enumerate(faces_raw):
-        _expect(isinstance(entry, dict), f"faces[{i}] must be an object")
-        _expect(
-            set(entry) == {"id", "codim"},
-            f"faces[{i}] must have exactly the keys 'id' and 'codim'",
-        )
-        _expect(isinstance(entry["id"], str), f"faces[{i}].id must be a string")
-        _expect(
-            isinstance(entry["codim"], int) and not isinstance(entry["codim"], bool),
-            f"faces[{i}].codim must be an integer",
-        )
-        faces.append((entry["id"], entry["codim"]))
+        if type(entry) is not dict:
+            raise DocumentError(f"faces[{i}] must be an object")
+        if entry.keys() != _FACE_KEYS:
+            raise DocumentError(f"faces[{i}] must have exactly the keys 'id' and 'codim'")
+        fid, codim = entry["id"], entry["codim"]
+        if type(fid) is not str:
+            raise DocumentError(f"faces[{i}].id must be a string")
+        if type(codim) is not int:
+            raise DocumentError(f"faces[{i}].codim must be an integer")
+        faces.append((fid, codim))
     covers_raw = raw["covers"]
-    _expect(isinstance(covers_raw, list), "covers must be an array")
+    if type(covers_raw) is not list:
+        raise DocumentError("covers must be an array")
     covers = []
     for i, entry in enumerate(covers_raw):
-        _expect(
-            isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(x, str) for x in entry),
-            f"covers[{i}] must be a [lowerId, upperId] pair of strings",
-        )
+        if not (
+            type(entry) is list and len(entry) == 2
+            and type(entry[0]) is str and type(entry[1]) is str
+        ):
+            raise DocumentError(f"covers[{i}] must be a [lowerId, upperId] pair of strings")
         covers.append((entry[0], entry[1]))
     try:
         poset = FacePoset(faces, covers, dim_orbit)
@@ -95,15 +101,13 @@ def parse_document(text: str) -> ParsedDocument:
         raise DocumentError(str(exc)) from exc
 
     k = raw.get("k")
-    if k is not None:
-        _expect(
-            isinstance(k, int) and not isinstance(k, bool) and k >= 1,
-            "k must be a positive integer",
-        )
+    if k is not None and (type(k) is not int or k < 1):
+        raise DocumentError("k must be a positive integer")
 
     attestations = Attestations()
     if "attestations" in raw:
-        _expect(isinstance(raw["attestations"], dict), "attestations must be an object")
+        if type(raw["attestations"]) is not dict:
+            raise DocumentError("attestations must be an object")
         try:
             attestations = Attestations.from_dict(raw["attestations"])
         except CharPairError as exc:
@@ -111,16 +115,15 @@ def parse_document(text: str) -> ParsedDocument:
 
     pair = None
     if "lambda" in raw:
-        _expect(k is not None, "a labeled document needs the key 'k'")
+        if k is None:
+            raise DocumentError("a labeled document needs the key 'k'")
         lam_raw = raw["lambda"]
-        _expect(isinstance(lam_raw, dict), "lambda must be an object")
+        if type(lam_raw) is not dict:
+            raise DocumentError("lambda must be an object")
         labels = {}
         for fid, vec in lam_raw.items():
-            _expect(
-                isinstance(vec, list)
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in vec),
-                f"lambda[{fid!r}] must be an integer array",
-            )
+            if type(vec) is not list or not all(type(x) is int for x in vec):
+                raise DocumentError(f"lambda[{fid!r}] must be an integer array")
             try:
                 labels[fid] = PrimitiveVector(vec)
             except LatticeError as exc:

@@ -77,23 +77,24 @@ class FacePoset:
         self.dim_orbit = dim_orbit
         self._codim = codim
         self._covers = frozenset(cover_set)
-        self._uppers: dict[str, tuple[str, ...]] = {f: () for f in codim}
-        self._lowers: dict[str, tuple[str, ...]] = {f: () for f in codim}
         up_map: dict[str, list[str]] = {f: [] for f in codim}
         lo_map: dict[str, list[str]] = {f: [] for f in codim}
         for lo, up in cover_set:
             up_map[lo].append(up)
             lo_map[up].append(lo)
-        for f in codim:
-            self._uppers[f] = tuple(sorted(up_map[f]))
-            self._lowers[f] = tuple(sorted(lo_map[f]))
+        self._uppers = {f: tuple(sorted(ups)) for f, ups in up_map.items()}
+        self._lowers = {f: tuple(sorted(los)) for f, los in lo_map.items()}
+        self._ids = tuple(sorted(codim))
+        self._facets = tuple(f for f in self._ids if codim[f] == 1)
+        # Derived on first use, then shared by every query.
         self._upper_sets: Optional[dict[str, frozenset[str]]] = None
+        self._stars: Optional[dict[str, tuple[str, ...]]] = None
         self._report: Optional[ValidityReport] = None
 
     # -- basic accessors -------------------------------------------------
 
     def ids(self) -> list[str]:
-        return sorted(self._codim)
+        return list(self._ids)
 
     def __len__(self) -> int:
         return len(self._codim)
@@ -115,10 +116,10 @@ class FacePoset:
         return self._lowers[fid]
 
     def faces_of_codim(self, n: int) -> list[str]:
-        return sorted(f for f, c in self._codim.items() if c == n)
+        return [f for f in self._ids if self._codim[f] == n]
 
     def facets(self) -> list[str]:
-        return self.faces_of_codim(1)
+        return list(self._facets)
 
     def top_faces(self) -> list[str]:
         return self.faces_of_codim(0)
@@ -150,7 +151,7 @@ class FacePoset:
         deep chain does not hit the recursion limit.  A face met again on
         the current path (a cycle) contributes nothing, which terminates."""
         out: dict[str, frozenset[str]] = {}
-        for root in sorted(self._codim):
+        for root in self._ids:
             if root in out:
                 continue
             path = {root}
@@ -180,8 +181,18 @@ class FacePoset:
         return self.leq(f, g) or self.leq(g, f)
 
     def facets_containing(self, fid: str) -> list[str]:
+        """The star of fid: the facets containing it, in id order."""
         self._require(fid)
-        return sorted(g for g in self.upper_set(fid) if self._codim[g] == 1)
+        return list(self._star_table()[fid])
+
+    def _star_table(self) -> dict[str, tuple[str, ...]]:
+        if self._stars is None:
+            facets = frozenset(self._facets)
+            self._stars = {
+                f: tuple(sorted(facets.intersection(up)))
+                for f, up in self._upper_sets_map().items()
+            }
+        return self._stars
 
     # -- validation --------------------------------------------------------
 
@@ -193,6 +204,7 @@ class FacePoset:
         return self._report
 
     def _compute_validity(self) -> ValidityReport:
+        codim = self._codim
         violations: list[Violation] = []
         tops = self.top_faces()
         if len(tops) != 1:
@@ -203,23 +215,23 @@ class FacePoset:
                     f"expected exactly one codimension-0 face, found {len(tops)}",
                 )
             )
-        for lo, up in sorted(self._covers):
-            if self._codim[lo] != self._codim[up] + 1:
-                violations.append(
-                    Violation(
-                        "grading",
-                        (lo, up),
-                        f"cover {lo!r} (codim {self._codim[lo]}) over {up!r} "
-                        f"(codim {self._codim[up]}) must drop codimension by 1",
-                    )
+        ungraded = [(lo, up) for lo, up in self._covers if codim[lo] != codim[up] + 1]
+        for lo, up in sorted(ungraded):
+            violations.append(
+                Violation(
+                    "grading",
+                    (lo, up),
+                    f"cover {lo!r} (codim {codim[lo]}) over {up!r} "
+                    f"(codim {codim[up]}) must drop codimension by 1",
                 )
-        for f in self.ids():
-            if self._codim[f] > self.dim_orbit:
+            )
+        for f in self._ids:
+            if codim[f] > self.dim_orbit:
                 violations.append(
                     Violation(
                         "codim-bound",
                         (f,),
-                        f"codimension {self._codim[f]} exceeds orbit dimension "
+                        f"codimension {codim[f]} exceeds orbit dimension "
                         f"{self.dim_orbit}",
                     )
                 )
@@ -228,21 +240,23 @@ class FacePoset:
             return ValidityReport(False, tuple(violations))
 
         uppers = self._upper_sets_map()
-        stars = {
-            f: frozenset(g for g in uppers[f] if self._codim[g] == 1)
-            for f in self._codim
-        }
-        for f in self.ids():
-            n = self._codim[f]
-            star_set = stars[f]
-            if len(star_set) != n:
-                star = sorted(star_set)
+        stars = self._star_table()
+        # Stars shrink going up a graded poset.  So once the stars of f's
+        # upper interval are the distinct subsets of star(f), a face g of the
+        # interval lies below at most the 2^|star(g)| faces whose stars fit
+        # in star(g).  The interval order disagrees with the subset order
+        # exactly at the faces g that lie below fewer: the short ones.
+        short = {g for g in self._ids if len(uppers[g]) != 2 ** len(stars[g])}
+        for f in self._ids:
+            n = codim[f]
+            star = stars[f]
+            if len(star) != n:
                 violations.append(
                     Violation(
                         "niceness",
                         (f,),
                         f"face of codimension {n} lies below {len(star)} facets "
-                        f"({star}); niceness requires exactly {n}",
+                        f"({list(star)}); niceness requires exactly {n}",
                     )
                 )
                 continue
@@ -256,26 +270,24 @@ class FacePoset:
                     )
                 )
                 continue
-            seen: dict[frozenset[str], str] = {}
-            bad = False
-            for g in sorted(interval):
-                key = stars[g]
-                if not key <= star_set or key in seen:
-                    violations.append(
-                        Violation(
-                            "boolean-interval",
-                            (f, g),
-                            "faces above do not match distinct facet subsets",
+            if len({stars[g] for g in interval}) != len(interval):
+                seen: set[tuple[str, ...]] = set()
+                for g in sorted(interval):
+                    if stars[g] in seen:
+                        violations.append(
+                            Violation(
+                                "boolean-interval",
+                                (f, g),
+                                "faces above do not match distinct facet subsets",
+                            )
                         )
-                    )
-                    bad = True
-                    break
-                seen[key] = g
-            if bad:
+                        break
+                    seen.add(stars[g])
                 continue
-            for g1 in interval:
-                for g2 in interval:
-                    if (g2 in uppers[g1]) != (stars[g2] <= stars[g1]):
+            for g1 in sorted(short.intersection(interval)):
+                star1 = frozenset(stars[g1])
+                for g2 in sorted(interval):
+                    if g2 not in uppers[g1] and star1.issuperset(stars[g2]):
                         violations.append(
                             Violation(
                                 "boolean-interval",
@@ -293,7 +305,7 @@ class FacePoset:
         Sorting by (codim, id) always respects reverse inclusion: comparable
         distinct faces have distinct codimensions in a graded poset.
         """
-        return sorted(self._codim, key=lambda f: (self._codim[f], f))
+        return sorted(self._ids, key=self._codim.__getitem__)
 
     def __repr__(self) -> str:
         return (

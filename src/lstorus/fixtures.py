@@ -37,6 +37,24 @@ def simplex_poset(n: int) -> FacePoset:
     return FacePoset(faces, covers, n)
 
 
+def corner_poset(n: int) -> FacePoset:
+    """The corner of R^n where every coordinate is nonnegative: faces are the
+    subsets of the n facets A, B, C, ..., named by their letters ("T" for
+    the empty subset), with codimension the subset size."""
+    if not 1 <= n <= 26:
+        raise ValueError("corner dimension must be between 1 and 26")
+    letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:n]
+    faces = []
+    covers = []
+    for size in range(n + 1):
+        for subset in itertools.combinations(letters, size):
+            fid = "".join(subset) or "T"
+            faces.append((fid, size))
+            for i in range(size):
+                covers.append((fid, fid[:i] + fid[i + 1:] or "T"))
+    return FacePoset(faces, covers, n)
+
+
 def segment_poset() -> FacePoset:
     return simplex_poset(1)
 

@@ -393,3 +393,24 @@ def poset_violations_reference(poset) -> list[tuple]:
                     out.append(("boolean-interval", (f, g1, g2),
                                 "interval order disagrees with facet-subset order"))
     return sorted(out)
+
+
+def label_violations_reference(cp) -> list[tuple]:
+    """The checks of ``validate_characteristic``, one face at a time in id
+    order, with the minor-gcd summand test and stars read off the upper
+    sets.  Returns (kind, faces, detail) triples in report order."""
+    poset = cp.poset
+    out = []
+    for f in poset.ids():
+        n = poset.codim(f)
+        if n == 0:
+            continue
+        if n > cp.k:
+            out.append(("codim-rank", (f,), f"codimension {n} exceeds torus rank {cp.k}"))
+            continue
+        star = sorted(g for g in poset.upper_set(f) if poset.codim(g) == 1)
+        rows = [cp.label(g).coords for g in star]
+        if not minor_gcd_is_summand(rows):
+            out.append(("summand", (f,),
+                        f"facet labels {rows} do not span a rank-{n} direct summand"))
+    return out

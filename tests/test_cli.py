@@ -13,10 +13,11 @@ from lstorus.documents import (
     DocumentError,
     parse_document,
     parse_pair,
+    poset_to_object,
     serialize_pair,
     serialize_poset,
 )
-from lstorus.fixtures import square_pair, square_poset
+from lstorus.fixtures import corner_poset, square_pair, square_poset
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -550,3 +551,46 @@ def test_cli_subprocess_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"]
+
+
+def _corner_without(n: int, *removed: tuple[str, str]) -> dict:
+    doc = poset_to_object(corner_poset(n))
+    doc["covers"] = [c for c in doc["covers"] if tuple(c) not in removed]
+    return doc
+
+
+def test_validate_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    attested = json.loads(serialize_pair(square_pair([(1, 0), (0, 1), (1, 0), (0, 1)])))
+    # Every attestation is malformed; the error names the first in as_dict order.
+    attested["attestations"] = {
+        "sections_exist": "yes", "faces_contractible": 1, "four_faces_matched": None,
+    }
+    docs = {
+        # Interval-order violations at several faces of one interval.
+        "corner3.json": _corner_without(3, ("A", "T"), ("B", "T")),
+        # ABC disagrees with two faces of the interval of ABCD.
+        "corner4.json": _corner_without(
+            4, ("ABC", "AB"), ("A", "T"), ("B", "T"), ("C", "T")
+        ),
+        "attested.json": attested,
+    }
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    for name, doc in docs.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        outputs = set()
+        for seed in ("0", "1"):
+            env["PYTHONHASHSEED"] = seed
+            proc = subprocess.run(
+                [sys.executable, "-m", "lstorus.cli", "validate", str(path)],
+                capture_output=True,
+                env=env,
+            )
+            assert proc.returncode in (1, 2), (name, proc.stderr)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, name
+        faces = [v["faces"] for v in json.loads(proc.stdout).get("poset_violations", [])]
+        assert faces == sorted(faces), name
+    report = json.loads(outputs.pop())
+    assert report["error"]["message"] == "attestation sections_exist must be a boolean"

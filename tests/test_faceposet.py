@@ -6,6 +6,7 @@ import pytest
 from lstorus.documents import parse_document
 from lstorus.faceposet import FacePoset, PosetError, validate_poset
 from lstorus.fixtures import (
+    corner_poset,
     cube_poset,
     half_plane_poset,
     pentagon_poset,
@@ -35,6 +36,8 @@ def test_simplices_cubes_products_valid():
         assert validate_poset(cube_poset(n)).valid, f"cube {n}"
     assert validate_poset(product_poset(simplex_poset(2), simplex_poset(2))).valid
     assert validate_poset(prism_poset()).valid
+    for n in range(1, 5):
+        assert validate_poset(corner_poset(n)).valid, f"corner {n}"
     assert validate_poset(product_poset(square_poset(), segment_poset())).valid
 
 
@@ -184,9 +187,21 @@ def test_polygon_poset_sizes():
         assert validate_poset(p).valid
 
 
-def _without_cover(poset, cover):
+def _without_cover(poset, *removed):
     faces = {f: poset.codim(f) for f in poset.ids()}
-    return FacePoset(faces, [c for c in poset.covers() if c != cover], poset.dim_orbit)
+    return FacePoset(faces, [c for c in poset.covers() if c not in removed], poset.dim_orbit)
+
+
+def _corner4_order():
+    # ABC lies below neither AB nor T, so it disagrees with two faces of the
+    # interval of ABCD.
+    return _without_cover(corner_poset(4), ("ABC", "AB"), ("A", "T"), ("B", "T"), ("C", "T"))
+
+
+def test_interval_order_violations_in_sorted_order():
+    order = [v.faces for v in _corner4_order().validate().violations if len(v.faces) == 3]
+    assert order == sorted(order)
+    assert [g for f, g1, g in order if (f, g1) == ("ABCD", "ABC")] == ["AB", "T"]
 
 
 def _invalid_variants():
@@ -220,14 +235,20 @@ def _invalid_variants():
         ),
         "square-missing-cover": _without_cover(square_poset(), ("V0", "E0")),
         "cube3-missing-cover": _without_cover(cube_poset(3), sorted(cube_poset(3).covers())[-1]),
+        # The facet left without its cover of the top has a 1-face upper
+        # interval; the faces below it get 3-face interval-order violations.
+        "cube4-missing-cover": _without_cover(cube_poset(4), sorted(cube_poset(4).covers())[-1]),
+        "corner4-order": _corner4_order(),
     }
 
 
 def _fixture_posets():
-    return {
+    posets = {
         path.stem: parse_document(path.read_text(encoding="utf-8")).poset
         for path in sorted(FIXTURES.glob("*.json"))
     }
+    posets.update(cube5=cube_poset(5), cube6=cube_poset(6))
+    return posets
 
 
 @pytest.mark.parametrize("source", ["fixtures", "invalid"])
