@@ -61,8 +61,10 @@ POSETS = {
     "pentagon": fixtures.pentagon_poset,
     "hexagon": lambda: fixtures.polygon_poset(6),
 }
-# (n, k, m) shapes of the benchmark's localcheck workload, and its sample count.
-LOCALCHECK = [(1, 2, 1), (2, 3, 1), (3, 3, 0), (2, 2, 2)]
+# (n, k, m) shapes: the four of the benchmark's localcheck workload, then
+# shapes without z (n = 0), without y (m = 0) and a larger one; and the
+# workload's sample count.
+LOCALCHECK = [(1, 2, 1), (2, 3, 1), (3, 3, 0), (2, 2, 2), (0, 2, 1), (1, 1, 0), (3, 4, 2)]
 LOCALCHECK_SEEDS = range(3)
 LOCALCHECK_SAMPLES = 50
 

@@ -14,7 +14,6 @@ from .census import (
     CensusResult,
     CensusSpec,
     enumerate_census,
-    orbit_count_invariants,
     primitive_vectors_in_box,
 )
 from .charpair import (
@@ -113,7 +112,6 @@ __all__ = [
     "lambda_of_face",
     "lift_diffeo",
     "local_signature",
-    "orbit_count_invariants",
     "orbit_map",
     "parse_document",
     "parse_pair",

@@ -286,16 +286,3 @@ def _deduplicate(
         entry[1] += len(orbit)
     classes.extend(CensusClass(rep, size) for rep, size in weak.values())
     return tuple(sorted(classes, key=lambda c: c.representative))
-
-
-def orbit_count_invariants(cp: CharacteristicPair) -> dict:
-    """Face counts per codimension; fixed-point count in the half-dimensional
-    case (d == k), where vertices of the orbit space are the fixed points."""
-    faces_per_codim = _faces_per_codim(cp.poset)
-    fixed_points = None
-    if cp.dim_orbit == cp.k:
-        fixed_points = faces_per_codim.get(cp.dim_orbit, 0)
-    return {
-        "faces_per_codim": faces_per_codim,
-        "fixed_points": fixed_points,
-    }

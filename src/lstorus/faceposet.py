@@ -177,9 +177,6 @@ class FacePoset:
         """Inclusion order: f is a (non-strict) subface of g."""
         return g in self.upper_set(f)
 
-    def comparable(self, f: str, g: str) -> bool:
-        return self.leq(f, g) or self.leq(g, f)
-
     def facets_containing(self, fid: str) -> list[str]:
         """The star of fid: the facets containing it, in id order."""
         self._require(fid)

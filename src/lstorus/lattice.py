@@ -37,8 +37,28 @@ class LatticeError(ValueError):
     """Raised for malformed or out-of-contract lattice inputs."""
 
 
+def _is_frozen(rows) -> bool:
+    """rows is a non-empty tuple of equal-length, non-empty tuples of ints."""
+    if type(rows) is not tuple or not rows or type(rows[0]) is not tuple:
+        return False
+    width = len(rows[0])
+    if not width:
+        return False
+    for row in rows:
+        if type(row) is not tuple or len(row) != width:
+            return False
+        for x in row:
+            if type(x) is not int:
+                return False
+    return True
+
+
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    """Validate and freeze a rectangular integer matrix with positive dims."""
+    """Validate and freeze a rectangular integer matrix with positive dims.
+
+    A matrix that is frozen already is returned as it is."""
+    if _is_frozen(rows):
+        return rows
     m = tuple(tuple(int(x) for x in row) for row in rows)
     if not m:
         raise LatticeError("matrix needs at least one row")

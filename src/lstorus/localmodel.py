@@ -13,6 +13,19 @@ Lifted equivariant diffeomorphisms multiply each z_i by the square root of
 that quotient and by a torus factor built from two angle-valued maps on the
 orbit space; removable singularities at z_i = 0 are exact zeros.
 
+Checks run where they belong.  On construction: a Polynomial's exponents
+and coefficients; a FaceDiffeo's layers (index ranges, no layer polynomial
+in its own coordinate, all in n + m variables, nonzero finite y-scales);
+a TorusMap's terms (k polynomials in n + m variables each, every prefix a
+valid FaceDiffeo).  Evaluation then trusts that data: every polynomial runs
+from its plan through one evaluator, `_eval_plan`, with no arity check.
+On each point: the point's dimensions against the map, face preservation
+(x_i = 0 exactly when Phi_i = 0), and the checks of the ModelPoint or
+OrbitPoint constructor, which builds every point a function returns
+(angles reduced mod 2*pi, all coordinates finite, x >= 0).  The float operations of an evaluation run
+in one fixed order, so the same inputs give bit-identical points and
+byte-identical reports.
+
 Derivative checks use one-sided finite differences extrapolated over a
 geometric step ladder.  Such numbers are evidence for or against
 smoothness, never proof; reports say so explicitly.
@@ -52,48 +65,73 @@ def _reduce_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class ModelPoint:
-    """A point (z, t, y) of the chart; angles stored reduced mod 2*pi."""
+    """A point (z, t, y) of the chart; angles stored reduced mod 2*pi.
+
+    complex() and float() run only on entries not already of that exact
+    type (on those they would return the entry itself), so computed points
+    cost no conversions; every point gets the same checks.
+    """
 
     z: tuple[complex, ...]
     t: tuple[float, ...]
     y: tuple[float, ...]
 
     def __init__(self, z: Sequence[complex], t: Sequence[float], y: Sequence[float]):
-        zt = tuple(complex(v) for v in z)
-        tt = tuple(_reduce_angle(float(v)) for v in t)
-        yt = tuple(float(v) for v in y)
-        for v in zt:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        z, t, y = tuple(z), tuple(t), tuple(y)
+        for v in z:
+            if type(v) is not complex:
+                z = tuple(map(complex, z))
+                break
+        for v in t:
+            if type(v) is not float:
+                t = tuple(map(float, t))
+                break
+        t = tuple(map(_reduce_angle, t))
+        for v in y:
+            if type(v) is not float:
+                y = tuple(map(float, y))
+                break
+        for v in z:
+            if not cmath.isfinite(v):
                 raise LocalModelError(f"non-finite z entry {v!r}")
-        if any(not math.isfinite(v) for v in tt + yt):
-            raise LocalModelError("non-finite coordinate")
-        object.__setattr__(self, "z", zt)
-        object.__setattr__(self, "t", tt)
-        object.__setattr__(self, "y", yt)
+        for v in t + y:
+            if not math.isfinite(v):
+                raise LocalModelError("non-finite coordinate")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)
 class OrbitPoint:
-    """A point of the orbit space R^n_{>=0} x R^m."""
+    """A point of the orbit space R^n_{>=0} x R^m; float() runs only on
+    entries not already floats."""
 
     x: tuple[float, ...]
     y: tuple[float, ...]
 
     def __init__(self, x: Sequence[float], y: Sequence[float]):
-        xt = tuple(float(v) for v in x)
-        yt = tuple(float(v) for v in y)
-        if any(v < 0 for v in xt):
-            raise LocalModelError(f"negative x coordinate in {xt}")
-        if any(not math.isfinite(v) for v in xt + yt):
-            raise LocalModelError("non-finite coordinate")
-        object.__setattr__(self, "x", xt)
-        object.__setattr__(self, "y", yt)
+        x, y = tuple(x), tuple(y)
+        for v in x:
+            if type(v) is not float:
+                x = tuple(map(float, x))
+                break
+        for v in y:
+            if type(v) is not float:
+                y = tuple(map(float, y))
+                break
+        for v in x:
+            if v < 0:
+                raise LocalModelError(f"negative x coordinate in {x}")
+        for v in x + y:
+            if not math.isfinite(v):
+                raise LocalModelError("non-finite coordinate")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 def orbit_map(p: ModelPoint) -> OrbitPoint:
-    return OrbitPoint(
-        tuple(v.real * v.real + v.imag * v.imag for v in p.z), p.y
-    )
+    return OrbitPoint([v.real * v.real + v.imag * v.imag for v in p.z], p.y)
 
 
 def standard_section(q: OrbitPoint, torus_dim: int) -> ModelPoint:
@@ -101,7 +139,7 @@ def standard_section(q: OrbitPoint, torus_dim: int) -> ModelPoint:
     if torus_dim < 0:
         raise LocalModelError("torus dimension must be nonnegative")
     return ModelPoint(
-        tuple(complex(math.sqrt(v), 0.0) for v in q.x),
+        [complex(math.sqrt(v), 0.0) for v in q.x],
         (0.0,) * torus_dim,
         q.y,
     )
@@ -110,23 +148,41 @@ def standard_section(q: OrbitPoint, torus_dim: int) -> ModelPoint:
 def torus_act(angles: Sequence[float], p: ModelPoint, n: int) -> ModelPoint:
     """Standard action of a k-torus element given by angles: the first n
     rotate the z coordinates, the rest translate the t coordinates."""
-    if len(angles) != n + len(p.t) or len(p.z) != n:
+    z, t = p.z, p.t
+    if len(angles) != n + len(t) or len(z) != n:
         raise LocalModelError("angle count does not match the chart")
-    z = tuple(v * cmath.exp(1j * a) for v, a in zip(p.z, angles[:n]))
-    t = tuple(tv + a for tv, a in zip(p.t, angles[n:]))
-    return ModelPoint(z, t, p.y)
+    return ModelPoint(
+        [z[i] * cmath.exp(1j * angles[i]) for i in range(n)],
+        [t[j] + angles[n + j] for j in range(len(t))],
+        p.y,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Polynomials and primitive layers.
+
+# A plan is a polynomial ready for evaluation: one (coefficient, powers)
+# pair per term, powers being the nonzero (variable, exponent) pairs in
+# variable order.
+Plan = tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
+
+
+def _eval_plan(plan: Plan, values: Sequence[float]) -> float:
+    """The polynomial's value; values must hold all of its variables."""
+    total = 0.0
+    for coeff, powers in plan:
+        prod = coeff
+        for i, e in powers:
+            prod *= values[i] ** e
+        total += prod
+    return total
 
 
 @dataclass(frozen=True)
 class Polynomial:
     """Sparse polynomial: tuples of exponents over nvars variables.
 
-    Evaluation follows a per-term plan of the nonzero (variable, exponent)
-    pairs, in variable order.
+    Evaluation follows its plan (see `_eval_plan`).
     """
 
     nvars: int
@@ -152,13 +208,7 @@ class Polynomial:
     def __call__(self, values: Sequence[float]) -> float:
         if len(values) != self.nvars:
             raise LocalModelError("wrong number of variables")
-        total = 0.0
-        for coeff, powers in self._plan:
-            prod = coeff
-            for i, e in powers:
-                prod *= values[i] ** e
-            total += prod
-        return total
+        return _eval_plan(self._plan, values)
 
     def negate(self) -> "Polynomial":
         return Polynomial(self.nvars, [(e, -c) for e, c in self.terms])
@@ -210,23 +260,23 @@ class YScaleLayer:
 Layer = XScaleLayer | YShearLayer | YScaleLayer
 
 
-def _run_layers(
-    layers: Sequence[Layer], n: int, x: Sequence[float], y: Sequence[float]
-) -> tuple[list[float], list[float]]:
-    """The state x + y after the layers, updated in place, and the
-    log-multiplier of each x_i.  The layers are assumed valid."""
-    state = list(x) + list(y)
+def _run_layers(layers: Sequence[Layer], n: int, state: list[float]) -> list[float]:
+    """Run the layers on the state x + y in place and return the
+    log-multiplier of each x_i.  The layers must have passed FaceDiffeo's
+    checks for this n and a state of length n + m."""
     logs = [0.0] * n
     for layer in layers:
-        if isinstance(layer, XScaleLayer):
-            val = layer.q(state)
-            logs[layer.index] += val
-            state[layer.index] *= math.exp(val)
-        elif isinstance(layer, YShearLayer):
-            state[n + layer.index] += layer.p(state)
+        kind = type(layer)
+        if kind is XScaleLayer:
+            i = layer.index
+            val = _eval_plan(layer.q._plan, state)
+            logs[i] += val
+            state[i] *= math.exp(val)
+        elif kind is YShearLayer:
+            state[n + layer.index] += _eval_plan(layer.p._plan, state)
         else:
             state[n + layer.index] *= layer.factor
-    return state, logs
+    return logs
 
 
 @dataclass(frozen=True)
@@ -242,7 +292,7 @@ class FaceDiffeo:
             raise LocalModelError("dimensions must be nonnegative")
         nv = n + m
         for layer in layers:
-            if isinstance(layer, XScaleLayer):
+            if type(layer) is XScaleLayer:
                 if not 0 <= layer.index < n:
                     raise LocalModelError(f"x index {layer.index} out of range")
                 if layer.q.nvars != nv or layer.q.depends_on(layer.index):
@@ -250,14 +300,14 @@ class FaceDiffeo:
                         "x-scale exponent must be a polynomial in the other "
                         "variables only"
                     )
-            elif isinstance(layer, YShearLayer):
+            elif type(layer) is YShearLayer:
                 if not 0 <= layer.index < m:
                     raise LocalModelError(f"y index {layer.index} out of range")
                 if layer.p.nvars != nv or layer.p.depends_on(n + layer.index):
                     raise LocalModelError(
                         "y-shear must be a polynomial in the other variables only"
                     )
-            elif isinstance(layer, YScaleLayer):
+            elif type(layer) is YScaleLayer:
                 if not 0 <= layer.index < m:
                     raise LocalModelError(f"y index {layer.index} out of range")
                 if layer.factor == 0.0 or not math.isfinite(layer.factor):
@@ -275,7 +325,8 @@ class FaceDiffeo:
         so Phi_i(x, y) == x_i * exp(logs[i]) holds exactly."""
         if len(x) != self.n or len(y) != self.m:
             raise LocalModelError("point does not match the chart dimensions")
-        state, logs = _run_layers(self.layers, self.n, x, y)
+        state = [*x, *y]
+        logs = _run_layers(self.layers, self.n, state)
         return tuple(state[: self.n]), tuple(state[self.n :]), tuple(logs)
 
     def apply(self, q: OrbitPoint) -> OrbitPoint:
@@ -302,10 +353,12 @@ class FaceDiffeo:
 class TorusMap:
     """An angle-valued map on the orbit space, T^k-valued pointwise.
 
-    Stored as a sum of terms, each a k-tuple of polynomials evaluated after
-    an optional prefix of layers; that closure makes composition of lifted
-    diffeomorphisms exact.  Prefixes are validated once, on construction,
-    and each distinct prefix runs once per evaluation.
+    Stored as a sum of terms, each a k-tuple of polynomials in the n + m
+    orbit-space variables, evaluated after an optional prefix of layers;
+    that closure makes composition of lifted diffeomorphisms exact.  Terms
+    and prefixes are validated once, on construction.  Each distinct
+    prefix runs once per evaluation, and terms without a prefix share the
+    unmoved point.
     """
 
     k: int
@@ -314,27 +367,48 @@ class TorusMap:
     terms: tuple[tuple[tuple[Layer, ...], tuple[Polynomial, ...], int], ...] = ()
 
     def __post_init__(self) -> None:
+        nv = self.n + self.m
         slot_of: dict[tuple[Layer, ...], int] = {}
-        for prefix, _, _ in self.terms:
-            if prefix not in slot_of:
-                FaceDiffeo(self.n, self.m, prefix)
-                slot_of[prefix] = len(slot_of)
-        object.__setattr__(
-            self, "_slots", tuple(slot_of[prefix] for prefix, _, _ in self.terms)
-        )
+        plan = []
+        for prefix, polys, sign in self.terms:
+            if len(polys) != self.k:
+                raise LocalModelError("need one angle polynomial per torus factor")
+            for poly in polys:
+                if not isinstance(poly, Polynomial) or poly.nvars != nv:
+                    raise LocalModelError(
+                        "angle polynomials must live on the orbit space"
+                    )
+            slot = -1
+            if prefix:
+                if prefix not in slot_of:
+                    FaceDiffeo(self.n, self.m, prefix)
+                    slot_of[prefix] = len(slot_of)
+                slot = slot_of[prefix]
+            plan.append((prefix, slot, tuple(poly._plan for poly in polys), sign))
+        object.__setattr__(self, "_plan", tuple(plan))
+        object.__setattr__(self, "_slot_count", len(slot_of))
 
     def angles(self, x: Sequence[float], y: Sequence[float]) -> tuple[float, ...]:
+        if len(x) != self.n or len(y) != self.m:
+            raise LocalModelError("point does not match the chart dimensions")
+        return tuple(self._angles([*x, *y]))
+
+    def _angles(self, base: list[float]) -> list[float]:
+        """The angles at the point base = x + y, which is left unchanged."""
+        n = self.n
         total = [0.0] * self.k
-        states: dict[int, list[float]] = {}
-        for slot, (prefix, polys, sign) in zip(self._slots, self.terms):
-            state = states.get(slot)
-            if state is None:
-                if prefix and (len(x) != self.n or len(y) != self.m):
-                    raise LocalModelError("point does not match the chart dimensions")
-                state = states[slot] = _run_layers(prefix, self.n, x, y)[0]
-            for i, poly in enumerate(polys):
-                total[i] += sign * poly(state)
-        return tuple(total)
+        states: list[Optional[list[float]]] = [None] * self._slot_count
+        for prefix, slot, plans, sign in self._plan:
+            if slot < 0:
+                state = base
+            else:
+                state = states[slot]
+                if state is None:
+                    state = states[slot] = base.copy()
+                    _run_layers(prefix, n, state)
+            for i in range(len(plans)):
+                total[i] += sign * _eval_plan(plans[i], state)
+        return total
 
     def plus(self, other: "TorusMap") -> "TorusMap":
         self._check(other)
@@ -357,10 +431,6 @@ class TorusMap:
 
     @classmethod
     def from_polys(cls, k: int, n: int, m: int, polys: Sequence[Polynomial]) -> "TorusMap":
-        if len(polys) != k:
-            raise LocalModelError("need one angle polynomial per torus factor")
-        if any(p.nvars != n + m for p in polys):
-            raise LocalModelError("angle polynomials must live on the orbit space")
         return cls(k, n, m, (((), tuple(polys), 1),))
 
     @classmethod
@@ -422,22 +492,26 @@ def lift_diffeo(spec: SmoothMapSpec, p: ModelPoint) -> ModelPoint:
     angle difference of the two torus maps; t is translated; y follows the
     orbit-space map.
     """
-    if len(p.z) != spec.n or len(p.t) != spec.k - spec.n or len(p.y) != spec.m:
+    n = spec.n
+    z, t, y = p.z, p.t, p.y
+    if len(z) != n or len(t) != spec.k - n or len(y) != spec.m:
         raise LocalModelError("point does not match the spec dimensions")
-    x = tuple(v.real * v.real + v.imag * v.imag for v in p.z)
-    x2, y2, logs = spec.phi.apply_with_logs(x, p.y)
-    for xi, xi2 in zip(x, x2):
-        if (xi == 0.0) != (xi2 == 0.0):
+    before = [v.real * v.real + v.imag * v.imag for v in z]
+    before.extend(y)
+    after = before.copy()
+    logs = _run_layers(spec.phi.layers, n, after)
+    for i in range(n):
+        if (before[i] == 0.0) != (after[i] == 0.0):
             raise LocalModelError("face preservation violated at runtime")
-    a1 = spec.f1.angles(x, p.y)
-    a2 = spec.f2.angles(x2, y2)
-    theta = tuple(b - a for a, b in zip(a1, a2))
-    z = tuple(
-        v * math.exp(0.5 * lg) * cmath.exp(1j * th)
-        for v, lg, th in zip(p.z, logs, theta[: spec.n])
-    )
-    t = tuple(tv + th for tv, th in zip(p.t, theta[spec.n :]))
-    return ModelPoint(z, t, y2)
+    a1 = spec.f1._angles(before)
+    a2 = spec.f2._angles(after)
+    zs = []
+    for i in range(n):
+        zs.append(z[i] * math.exp(0.5 * logs[i]) * cmath.exp(1j * (a2[i] - a1[i])))
+    ts = []
+    for j in range(len(t)):
+        ts.append(t[j] + (a2[n + j] - a1[n + j]))
+    return ModelPoint(zs, ts, after[n:])
 
 
 def section_point(spec: SmoothMapSpec, which: int, q: OrbitPoint) -> ModelPoint:
@@ -841,10 +915,11 @@ def run_local_checks(
             )
 
             covered = spec.phi.apply(orbit_map(p))
+            image_orbit = orbit_map(image)
             worst["covering"] = max(
-                worst["covering"], orbit_point_distance(orbit_map(image), covered)
+                worst["covering"], orbit_point_distance(image_orbit, covered)
             )
-            for zi, xi in zip(p.z, orbit_map(image).x):
+            for zi, xi in zip(p.z, image_orbit.x):
                 if zi == 0:
                     worst["boundary_zeros"] = max(worst["boundary_zeros"], abs(xi))
 

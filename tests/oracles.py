@@ -2,19 +2,24 @@
 
 Everything here is deliberately written against different machinery than the
 package under test: permutation-expansion determinants, brute-force span
-membership, and sympy's normal forms.  Keep it that way; these functions are
+membership, sympy's normal forms, and a term-by-term evaluator of the chart
+formulas.  Keep it that way; these functions are
 the other side of every dual-route check in the test suite.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import hermite_normal_form
+
+from lstorus.localmodel import LocalModelError, ModelPoint, XScaleLayer, YShearLayer
 
 
 def det_permutation(m: Sequence[Sequence[int]]) -> int:
@@ -414,3 +419,92 @@ def label_violations_reference(cp) -> list[tuple]:
             out.append(("summand", (f,),
                         f"facet labels {rows} do not span a rank-{n} direct summand"))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Chart formulas, evaluated term by term with the same float operations in
+# the same order as ``lstorus.localmodel``, so results must agree exactly.
+
+
+def polynomial_value(poly, values: Sequence[float]) -> float:
+    """Sum over the terms of coeff * v_i ** e_i over the nonzero exponents,
+    in variable order."""
+    if len(values) != poly.nvars:
+        raise ValueError("wrong number of variables")
+    total = 0.0
+    for exps, coeff in poly.terms:
+        prod = coeff
+        for v, e in zip(values, exps):
+            if e:
+                prod *= v ** e
+        total += prod
+    return total
+
+
+def layers_with_logs_reference(layers, n: int, x, y) -> tuple:
+    """(x', y', logs): the image of (x, y) under the layers, one layer at a
+    time, and the accumulated log-multiplier of each x_i."""
+    state = list(x) + list(y)
+    logs = [0.0] * n
+    for layer in layers:
+        if isinstance(layer, XScaleLayer):
+            val = polynomial_value(layer.q, state)
+            logs[layer.index] += val
+            state[layer.index] *= math.exp(val)
+        elif isinstance(layer, YShearLayer):
+            state[n + layer.index] += polynomial_value(layer.p, state)
+        else:
+            state[n + layer.index] *= layer.factor
+    return tuple(state[:n]), tuple(state[n:]), tuple(logs)
+
+
+def torus_angles_reference(f, x, y) -> tuple[float, ...]:
+    """TorusMap angles from the definition: every term runs its own prefix."""
+    total = [0.0] * f.k
+    for prefix, polys, sign in f.terms:
+        xs, ys, _ = layers_with_logs_reference(prefix, f.n, x, y)
+        state = list(xs) + list(ys)
+        for i, poly in enumerate(polys):
+            total[i] += sign * polynomial_value(poly, state)
+    return tuple(total)
+
+
+def model_point_reference(z, t, y):
+    """A ModelPoint filled in field by field: every entry converted, angles
+    reduced into [0, 2*pi), finiteness checked."""
+    def reduce(a: float) -> float:
+        r = math.fmod(a, 2.0 * math.pi)
+        return r + 2.0 * math.pi if r < 0 else r
+
+    zt = tuple(complex(v) for v in z)
+    tt = tuple(reduce(float(v)) for v in t)
+    yt = tuple(float(v) for v in y)
+    for v in zt:
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise LocalModelError(f"non-finite z entry {v!r}")
+    if any(not math.isfinite(v) for v in tt + yt):
+        raise LocalModelError("non-finite coordinate")
+    p = object.__new__(ModelPoint)
+    object.__setattr__(p, "z", zt)
+    object.__setattr__(p, "t", tt)
+    object.__setattr__(p, "y", yt)
+    return p
+
+
+def lift_diffeo_reference(spec, p):
+    """The lifted diffeomorphism at p: z_i scaled by exp(logs_i / 2) and
+    rotated, t translated, by the angle difference of the two torus maps."""
+    x = tuple(v.real * v.real + v.imag * v.imag for v in p.z)
+    x2, y2, logs = layers_with_logs_reference(spec.phi.layers, spec.n, x, p.y)
+    for xi, xi2 in zip(x, x2):
+        if (xi == 0.0) != (xi2 == 0.0):
+            raise LocalModelError("face preservation violated at runtime")
+    a1 = torus_angles_reference(spec.f1, x, p.y)
+    a2 = torus_angles_reference(spec.f2, x2, y2)
+    theta = tuple(b - a for a, b in zip(a1, a2))
+    z = tuple(
+        v * math.exp(0.5 * lg) * cmath.exp(1j * th)
+        for v, lg, th in zip(p.z, logs, theta[: spec.n])
+    )
+    t = tuple(tv + th for tv, th in zip(p.t, theta[spec.n :]))
+    return model_point_reference(z, t, y2)

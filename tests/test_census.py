@@ -9,16 +9,12 @@ from lstorus.census import (
     CensusError,
     CensusSpec,
     enumerate_census,
-    orbit_count_invariants,
     primitive_vectors_in_box,
 )
-from lstorus.charpair import CharacteristicPair
 from lstorus.classify import canonical_form
 from lstorus.faceposet import FacePoset
 from lstorus.fixtures import (
-    cp_pair,
     cube_poset,
-    half_plane_pair,
     pentagon_poset,
     polygon_poset,
     prism_poset,
@@ -26,7 +22,6 @@ from lstorus.fixtures import (
     square_poset,
     triangle_poset,
 )
-from lstorus.lattice import PrimitiveVector
 
 from oracles import census_bruteforce, census_classes_pairwise
 
@@ -255,21 +250,3 @@ def test_census_requires_valid_poset():
     bad = FacePoset([("T", 0), ("T2", 0)], [], 1)
     with pytest.raises(CensusError):
         enumerate_census(CensusSpec(bad, 2, 1))
-
-
-def test_orbit_count_invariants():
-    sq = orbit_count_invariants(
-        CharacteristicPair(
-            square_poset(),
-            2,
-            {f"E{i}": PrimitiveVector(v) for i, v in enumerate([(1, 0), (0, 1), (1, 0), (0, 1)])},
-        )
-    )
-    assert sq["faces_per_codim"] == {0: 1, 1: 4, 2: 4}
-    assert sq["fixed_points"] == 4
-    tri = orbit_count_invariants(cp_pair(2))
-    assert tri["fixed_points"] == 3
-    half = orbit_count_invariants(half_plane_pair())
-    assert half["fixed_points"] == 0
-    taller = orbit_count_invariants(half_plane_pair(3))
-    assert taller["fixed_points"] is None

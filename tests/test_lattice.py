@@ -11,6 +11,7 @@ from lstorus.lattice import (
     PrimitiveVector,
     Subtorus,
     apply_auto,
+    as_matrix,
     canonical_sign,
     coords_in_basis,
     det_int,
@@ -113,6 +114,33 @@ def test_snf_divisibility_chain():
         d = snf_diagonal(m)
         for a, b in zip(d, d[1:]):
             assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
+
+
+def test_as_matrix_returns_a_frozen_matrix_as_it_is():
+    frozen = ((1, -2, 0), (3, 4, 5))
+    assert as_matrix(frozen) is frozen
+    assert as_matrix([[1, -2, 0], (3, 4, 5)]) == frozen
+    assert as_matrix(((1, -2, 0), [3, 4, 5])) == frozen
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ((), "at least one row"),
+        ([], "at least one row"),
+        (((),), "at least one column"),
+        (((), ()), "at least one column"),
+        (((1, 2), (3,)), "ragged rows"),
+        (((1,), (2, 3)), "ragged rows"),
+        (((1, True),), "non-integer entry True"),
+        (((1, 0), (False, 1)), "non-integer entry False"),
+        (((1, 2.0),), "non-integer entry 2.0"),
+        ([[1.5, 2]], "non-integer entry 1.5"),
+    ],
+)
+def test_as_matrix_rejections(rows, message):
+    with pytest.raises(LatticeError, match=message):
+        as_matrix(rows)
 
 
 def test_is_direct_summand_examples():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -31,6 +32,13 @@ from lstorus.localmodel import (
     smoothness_probe,
     standard_section,
     torus_act,
+)
+
+from oracles import (
+    layers_with_logs_reference,
+    lift_diffeo_reference,
+    model_point_reference,
+    torus_angles_reference,
 )
 
 
@@ -275,30 +283,18 @@ def test_layer_validation():
     with pytest.raises(LocalModelError):
         FaceDiffeo(1, 0, [XScaleLayer(1, Polynomial.zero(1))])
 
+    class Scale(XScaleLayer):
+        pass
+
+    # Evaluation dispatches on the exact layer type.
+    with pytest.raises(LocalModelError, match="unknown layer"):
+        FaceDiffeo(1, 0, [Scale(0, Polynomial.zero(1))])
+
 
 def test_torus_map_validates_prefixes_on_construction():
     own = XScaleLayer(0, Polynomial(2, {(1, 0): 1.0}))  # q involves x_0 itself
     with pytest.raises(LocalModelError):
         TorusMap(1, 1, 1, (((own,), (Polynomial.zero(2),), 1),))
-
-
-def _angles_term_by_term(f, x, y):
-    """TorusMap.angles from its definition: every term runs its own prefix,
-    and polynomials are summed term by term over all exponents."""
-    total = [0.0] * f.k
-    for prefix, polys, sign in f.terms:
-        xs, ys, _ = FaceDiffeo(f.n, f.m, prefix).apply_with_logs(x, y)
-        state = list(xs) + list(ys)
-        for i, poly in enumerate(polys):
-            value = 0.0
-            for exps, coeff in poly.terms:
-                prod = coeff
-                for v, e in zip(state, exps):
-                    if e:
-                        prod *= v ** e
-                value += prod
-            total[i] += sign * value
-    return tuple(total)
 
 
 def test_torus_map_angles_match_term_by_term_evaluation():
@@ -311,7 +307,97 @@ def test_torus_map_angles_match_term_by_term_evaluation():
         assert len(set(prefixes)) < len(prefixes)  # shared prefixes occur
         for _ in range(20):
             q = random_orbit_point(rng, 2, 1)
-            assert f.angles(q.x, q.y) == _angles_term_by_term(f, q.x, q.y)
+            assert f.angles(q.x, q.y) == torus_angles_reference(f, q.x, q.y)
+
+
+def test_torus_map_validates_terms_on_construction():
+    p = Polynomial.zero(2)
+    with pytest.raises(LocalModelError, match="one angle polynomial per torus factor"):
+        TorusMap(1, 1, 1, (((), (p, p), 1),))  # too many
+    with pytest.raises(LocalModelError, match="one angle polynomial per torus factor"):
+        TorusMap(2, 1, 1, (((), (p,), 1),))  # too few
+    with pytest.raises(LocalModelError, match="orbit space"):
+        TorusMap(1, 1, 1, (((), (Polynomial.zero(3),), 1),))  # wrong nvars
+    with pytest.raises(LocalModelError, match="orbit space"):
+        TorusMap(2, 1, 1, (((), (p, Polynomial.zero(1)), 1),))
+    with pytest.raises(LocalModelError, match="one angle polynomial per torus factor"):
+        TorusMap.from_polys(2, 1, 1, [p])
+    good = TorusMap.from_polys(1, 1, 1, [p])
+    with pytest.raises(LocalModelError, match="one angle polynomial per torus factor"):
+        good.plus(TorusMap(1, 1, 1, (((), (), 1),)))
+    with pytest.raises(LocalModelError, match="chart dimensions"):
+        good.angles((0.5,), ())
+
+
+# (n, k, m): general shapes, shapes without z (n = 0) and without y (m = 0).
+LIFT_SHAPES = [(1, 2, 1), (2, 3, 1), (3, 4, 2), (0, 2, 1), (0, 1, 2), (3, 3, 0), (1, 1, 0)]
+
+
+def _assert_same_point(got, want):
+    assert got == want
+    assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("shape", LIFT_SHAPES, ids=lambda s: "n%dk%dm%d" % s)
+def test_lift_matches_the_term_by_term_reference(shape):
+    n, k, m = shape
+    rng = random.Random(100 * n + 10 * k + m)
+    for _ in range(6):
+        specs = [random_spec(rng, n, k, m) for _ in range(3)]
+        composed = specs[2].compose_after(specs[1].compose_after(specs[0]))
+        cases = specs + [composed, specs[0].inverse(), composed.inverse()]
+        for spec in cases:
+            for boundary_prob in (0.3, 1.0):
+                for _ in range(8):
+                    p = random_model_point(rng, n, k, m, boundary_prob)
+                    _assert_same_point(lift_diffeo(spec, p), lift_diffeo_reference(spec, p))
+
+
+def test_orbit_maps_sections_and_actions_match_the_reference():
+    rng = random.Random(14)
+    n, k, m = 2, 3, 1
+    for _ in range(50):
+        spec = random_spec(rng, n, k, m)
+        p = random_model_point(rng, n, k, m)
+        g = [rng.uniform(-10.0, 10.0) for _ in range(k - 1)] + [3]  # an int angle too
+        want = model_point_reference(
+            [v * cmath.exp(1j * a) for v, a in zip(p.z, g[:n])],
+            [tv + a for tv, a in zip(p.t, g[n:])],
+            p.y,
+        )
+        _assert_same_point(torus_act(g, p, n), want)
+        q = orbit_map(p)
+        assert q.x == tuple(v.real * v.real + v.imag * v.imag for v in p.z)
+        assert q.y == p.y
+        want = model_point_reference([complex(math.sqrt(v), 0.0) for v in q.x], [0.0], q.y)
+        _assert_same_point(standard_section(q, 1), want)
+        want = layers_with_logs_reference(spec.phi.layers, n, q.x, q.y)
+        assert spec.phi.apply_with_logs(q.x, q.y) == want
+        assert spec.phi.apply(q) == OrbitPoint(want[0], want[1])
+
+
+def test_internal_results_keep_the_constructor_checks():
+    big = Polynomial(2, {(0, 2): 1e300})  # overflows to inf at y = 1e10
+    f2 = TorusMap.from_polys(1, 1, 1, [big])
+    spec = SmoothMapSpec(1, 1, 1, FaceDiffeo.identity(1, 1), TorusMap.identity(1, 1, 1), f2)
+    p = ModelPoint([0.5j], [], [1e10])
+    for lift in (lift_diffeo, lift_diffeo_reference):
+        with pytest.raises(LocalModelError, match="non-finite z entry"):
+            lift(spec, p)
+    shear = FaceDiffeo(0, 2, [YShearLayer(0, Polynomial(2, {(0, 2): 1e300}))])
+    spec = SmoothMapSpec(0, 1, 2, shear, TorusMap.identity(1, 0, 2), TorusMap.identity(1, 0, 2))
+    p = ModelPoint([], [0.1], [0.0, 1e10])
+    for lift in (lift_diffeo, lift_diffeo_reference):
+        with pytest.raises(LocalModelError, match="non-finite coordinate"):
+            lift(spec, p)
+    with pytest.raises(LocalModelError, match="non-finite coordinate"):
+        shear.apply(OrbitPoint([], [0.0, 1e10]))
+    with pytest.raises(LocalModelError, match="non-finite coordinate"):
+        torus_act([math.nan], ModelPoint([], [0.1], []), 0)
+    with pytest.raises(LocalModelError, match="non-finite z entry"):
+        torus_act([math.inf], ModelPoint([1j], [], []), 1)
+    with pytest.raises(LocalModelError, match="non-finite coordinate"):
+        orbit_map(ModelPoint([complex(1e200, 0.0)], [], []))
 
 
 def test_spec_validation():
