@@ -6,6 +6,9 @@ Usage: python3 scripts/report_digest.py OUT.json
 The dump holds, for the tree the script sits in:
   * `validate` and `canon` (strong and weak) reports for every document in
     fixtures/;
+  * `iso` reports (strong and weak) for every document in fixtures/ against
+    itself and for every pair of labelled documents with equal k and
+    dim_orbit;
   * `validate` reports for the invalid documents in INVALID below;
   * census reports under `--dedup none`, `strong` and `weak` for the
     (poset, k, B) settings in CENSUS below;
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -39,7 +43,12 @@ sys.path.insert(0, str(ROOT / "src"))
 from lstorus import fixtures  # noqa: E402
 from lstorus.charpair import CharacteristicPair  # noqa: E402
 from lstorus.cli import main as cli_main  # noqa: E402
-from lstorus.documents import pair_to_object, poset_to_object, serialize_poset  # noqa: E402
+from lstorus.documents import (  # noqa: E402
+    pair_to_object,
+    parse_document,
+    poset_to_object,
+    serialize_poset,
+)
 
 # (poset, k, B): every census setting of the benchmark's census workloads.
 CENSUS = [
@@ -108,11 +117,24 @@ def run(argv: list[str]) -> dict:
 def digest(workdir: pathlib.Path) -> dict[str, dict]:
     entries = {}
     # Relative paths keep the reports that name a path free of the checkout.
-    for path in sorted(pathlib.Path("fixtures").glob("*.json")):
+    paths = sorted(pathlib.Path("fixtures").glob("*.json"))
+    for path in paths:
         argv = ["validate", str(path)]
         entries[" ".join(argv)] = run(argv)
         for mode in ("strong", "weak"):
             argv = ["canon", str(path), "--mode", mode]
+            entries[" ".join(argv)] = run(argv)
+    shapes = {}
+    for path in paths:
+        pair = parse_document(path.read_text(encoding="utf-8")).pair
+        if pair is not None:
+            shapes[path] = (pair.k, pair.dim_orbit)
+    iso_pairs = [(path, path) for path in paths] + [
+        (a, b) for a, b in itertools.combinations(shapes, 2) if shapes[a] == shapes[b]
+    ]
+    for a, b in iso_pairs:
+        for mode in ("strong", "weak"):
+            argv = ["iso", str(a), str(b), "--mode", mode]
             entries[" ".join(argv)] = run(argv)
     for name, make in INVALID.items():
         doc = workdir / f"{name}.json"

@@ -18,15 +18,6 @@ GL(k, Z) x sign normal form (``lattice.gl_sign_normal_form``) after some
 automorphism, so the orbit's least form is its key.  There is no bound on
 the poset's size; the work grows with |Aut(P)| times the number of strong
 classes, and the search stops once every labeling has a class.
-
-The census runs on one thread.  The search is pure-Python and CPU-bound, so
-threads only take turns holding the interpreter lock.  On a 2-vCPU host
-(CPython 3.11) the former 2-thread pool gained nothing: the prism census
-(k=3, B=1) took a median 3.4 s against 3.7 s on 1 thread, inside the
-run-to-run spread, and cube3 (k=3, B=1) took 61 s against 51 s.  With the
-summand test memoised, enumeration is under half of a census run, so
-sharding it over 2 processes could not reach the 1.6x speed-up that would
-justify one.
 """
 
 from __future__ import annotations

@@ -6,25 +6,30 @@ Two notions are decided:
 * weak: a poset isomorphism matching labels up to one torus automorphism
   A in GL(k, Z) applied to all labels at once.
 
-Searches are exact backtracking over faces, pruned by an iterated color
-refinement of the Hasse diagram (codimension, cover degrees, and label data
-that is invariant for the mode), mapping next the face most connected to
-those already mapped.  Every positive verdict carries a witness
-that is re-verified by an independent recomputation before being returned.
-``poset_automorphisms`` runs the same search on the bare poset; the census
-dedup is built on it.
+Every search runs on one graph: the Hasse diagram of the poset plus one
+label node per distinct facet label, covering the facets that carry it.  A
+label node's colour holds the label in strong mode and nothing more in weak
+mode, so a graph isomorphism maps facets sharing a label to facets sharing
+a label, and in strong mode keeps the labels themselves.  Searches are
+exact backtracking over the nodes, pruned by an iterated colour refinement
+of that graph (codimension, cover degrees, label data), mapping next the
+node most connected to those already mapped.  Every positive verdict
+carries a witness that is re-verified by an independent recomputation
+before being returned.  ``poset_automorphisms`` runs the same search on the
+bare poset, which has no label nodes; the census dedup is built on it.
 
 ``canonical_form`` produces a string equal across a mode's equivalence class
-by minimizing a deterministic serialization over an individualization-
-refinement tree.  The weak form serializes label classes, not labels, and
-adds the least GL(k, Z) x sign normal form of the label matrix over the
-tree's least leaves.  It is bounded to posets with at most 64 faces; the
-deciders have no such bound.
+by minimizing a deterministic serialization of the same graph over an
+individualization-refinement tree.  The weak form adds the least
+GL(k, Z) x sign normal form of the label matrix over the tree's least
+leaves.  It is bounded to posets with at most 64 faces; the deciders have
+no such bound.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -66,101 +71,79 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Refined backtracking search for poset isomorphisms.
+# Refined backtracking search for isomorphisms of the search graph.
 
 
 class _SearchPoset:
-    """Preprocessed view of a poset and its facet labels for the
-    isomorphism search; an empty label map gives the bare poset.
+    """The search graph of a poset and its facet labels: the Hasse diagram
+    plus one label node per distinct label, covering the facets that carry
+    it.  An empty label map gives the bare Hasse diagram.
 
-    Facets carrying the same label are "mates".  They are kept as label
-    classes, not as per-face sets, so a class of m facets costs O(m), not
-    O(m^2).
+    Nodes are integers, never face ids: the faces in id order, then the
+    label nodes in label order.  ``up[u]`` and ``down[u]`` are the nodes
+    covering u and covered by u.  A label node's initial key marks it as
+    one and, in strong mode, holds the label's coordinates; the number of
+    facets sharing the label is its down-degree.
     """
 
     def __init__(
         self, poset: FacePoset, labels: Mapping[str, PrimitiveVector], mode: str
     ):
         self.ids = poset.ids()
-        self.codim = {f: poset.codim(f) for f in self.ids}
-        self.up = {f: frozenset(poset.covering(f)) for f in self.ids}
-        self.down = {f: frozenset(poset.covered_by(f)) for f in self.ids}
-        # Label class (the label's coordinates) of each facet, and members.
-        self.label_class = {f: v.coords for f, v in labels.items()}
-        self.classes: dict[tuple[int, ...], list[str]] = {}
-        for f in self.ids:
+        index = {f: i for i, f in enumerate(self.ids)}
+        self.codim = [poset.codim(f) for f in self.ids]
+        up = [[index[g] for g in poset.covering(f)] for f in self.ids]
+        down = [[index[g] for g in poset.covered_by(f)] for f in self.ids]
+        members: dict[tuple[int, ...], list[int]] = {}
+        for u, f in enumerate(self.ids):
             if f in labels:
-                self.classes.setdefault(labels[f].coords, []).append(f)
-        # Color keys are nested integer tuples so rounds sort structurally.
-        self.init_key = {}
-        for f in self.ids:
-            if f in labels:
-                if mode == "strong":
-                    label_part = (1,) + labels[f].coords
-                else:
-                    label_part = (2, len(self.classes[labels[f].coords]))
-            else:
-                label_part = (0,)
-            self.init_key[f] = (
-                self.codim[f],
-                len(self.up[f]),
-                len(self.down[f]),
-                label_part,
+                members.setdefault(labels[f].coords, []).append(u)
+        self.label_coords = sorted(members)
+        for coords in self.label_coords:
+            node = len(up)
+            for u in members[coords]:
+                up[u].append(node)
+            up.append([])
+            down.append(members[coords])
+        self.up = [frozenset(ns) for ns in up]
+        self.down = [frozenset(ns) for ns in down]
+        # Color keys are integer tuples so rounds sort structurally.
+        self.init_key = [
+            (0, c, len(self.up[u]), len(self.down[u]))
+            for u, c in enumerate(self.codim)
+        ]
+        for node, coords in enumerate(self.label_coords, len(self.ids)):
+            self.init_key.append(
+                (1, len(self.down[node])) + (coords if mode == "strong" else ())
             )
-
-    def mate_colors(self, col: dict[str, int]) -> dict[str, tuple[int, ...]]:
-        """Sorted colors of each face's mates (itself excluded); faces of one
-        class and one color share the tuple."""
-        class_cols = {
-            c: sorted(col[g] for g in members) for c, members in self.classes.items()
-        }
-        shared: dict[tuple, tuple[int, ...]] = {}
-        out: dict[str, tuple[int, ...]] = {}
-        for f in self.ids:
-            c = self.label_class.get(f)
-            if c is None:
-                out[f] = ()
-                continue
-            key = (c, col[f])
-            if key not in shared:
-                cols = class_cols[c]
-                i = cols.index(col[f])
-                shared[key] = tuple(cols[:i] + cols[i + 1:])
-            out[f] = shared[key]
-        return out
 
 
 def _joint_refine(
-    structs: Sequence[_SearchPoset], init_keys: Sequence[dict[str, tuple]]
-) -> list[dict[str, int]]:
+    structs: Sequence[_SearchPoset], init_keys: Sequence[list[tuple]]
+) -> list[list[int]]:
     """Stable color refinement with ids shared across all the structs,
-    starting from the given per-struct keys.
+    starting from the given per-node keys.
 
     Keys are comparable tuples and each round keeps the previous color as
     the leading component, so dense re-indexing preserves the color order
     and the iteration reaches a genuine fixed point.
     """
 
-    def intern_round(keys: list[list[tuple]]) -> list[dict[str, int]]:
+    def intern_round(keys: Sequence[list[tuple]]) -> list[list[int]]:
         flat = sorted({k for ks in keys for k in ks})
         table = {k: i for i, k in enumerate(flat)}
-        return [
-            {f: table[k] for f, k in zip(s.ids, ks)}
-            for s, ks in zip(structs, keys)
-        ]
+        return [[table[k] for k in ks] for ks in keys]
 
-    colors = intern_round([[ks[f] for f in s.ids] for s, ks in zip(structs, init_keys)])
+    colors = intern_round(init_keys)
     while True:
         keys = []
         for s, col in zip(structs, colors):
-            mates = s.mate_colors(col)
             ks = []
-            for f in s.ids:
+            for u, c in enumerate(col):
                 sig = (
-                    col[f],
-                    tuple(sorted(col[g] for g in s.up[f])),
-                    tuple(sorted(col[g] for g in s.down[f])),
-                    mates[f],
+                    c,
+                    tuple(sorted(col[w] for w in s.up[u])),
+                    tuple(sorted(col[w] for w in s.down[u])),
                 )
                 ks.append(sig)
             keys.append(ks)
@@ -170,90 +153,56 @@ def _joint_refine(
         colors = new
 
 
-def _histogram(colors: dict[str, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for c in colors.values():
-        out[c] = out.get(c, 0) + 1
+def _histogram(colors: list[int]) -> list[int]:
+    out = [0] * (max(colors, default=-1) + 1)
+    for c in colors:
+        out[c] += 1
     return out
 
 
 def _search_order(
-    sa: _SearchPoset, col_a: dict[str, int], hist_a: dict[int, int]
-) -> list[str]:
+    sa: _SearchPoset, col_a: list[int], hist_a: list[int]
+) -> list[int]:
     """Connectivity-driven order for the search (the VF2 order of Cordella,
     Foggia, Sansone and Vento, IEEE TPAMI 2004).
 
-    The next face is the unplaced one with the most placed neighbours (up,
-    down and label mates); ties go to the smaller color class, then the
-    color, then the face id.  A face placed next to mapped ones has few
-    consistent images, so symmetric posets branch little.
-
-    Placing a facet raises the score of all its mates at once, so a label
-    class keeps its own heap (ordered by placed up/down neighbours) and only
-    the class's best member is pushed to the global heap.  Stale entries of
-    both heaps are skipped when popped.
+    The next node is the unplaced one with the most placed neighbours (up
+    and down); ties go to the smaller color class, then the color, then the
+    node.  A node placed next to mapped ones has few consistent images, so
+    symmetric posets branch little.  Stale heap entries are skipped when
+    popped.
     """
-    nbrs = {f: 0 for f in sa.ids}  # placed up/down neighbours
-    in_class = {c: 0 for c in sa.classes}  # placed members per label class
-
-    def rank(f: str) -> tuple:
-        return (hist_a[col_a[f]], col_a[f], f)
-
-    def score(f: str) -> int:
-        c = sa.label_class.get(f)
-        return nbrs[f] + (in_class[c] if c is not None else 0)
-
-    class_heaps = {
-        c: [(0,) + rank(f) for f in members] for c, members in sa.classes.items()
-    }
-    for h in class_heaps.values():
-        heapq.heapify(h)
-    heap = [(0,) + rank(f) for f in sa.ids]
+    nbrs = [0] * len(col_a)  # placed neighbours
+    placed = [False] * len(col_a)
+    heap = [(0, hist_a[c], c, u) for u, c in enumerate(col_a)]
     heapq.heapify(heap)
-    placed: set[str] = set()
-
-    def push_best(c: tuple[int, ...]) -> None:
-        h = class_heaps[c]
-        while h and (h[0][-1] in placed or -h[0][0] != nbrs[h[0][-1]]):
-            heapq.heappop(h)
-        if h:
-            f = h[0][-1]
-            heapq.heappush(heap, (-score(f),) + rank(f))
-
-    order: list[str] = []
+    order: list[int] = []
     while heap:
-        entry = heapq.heappop(heap)
-        u = entry[-1]
-        if u in placed or -entry[0] != score(u):
+        score, _, _, u = heapq.heappop(heap)
+        if placed[u] or -score != nbrs[u]:
             continue
         order.append(u)
-        placed.add(u)
+        placed[u] = True
         for w in sa.up[u] | sa.down[u]:
-            if w in placed:
-                continue
-            nbrs[w] += 1
-            heapq.heappush(heap, (-score(w),) + rank(w))
-            c = sa.label_class.get(w)
-            if c is not None:
-                heapq.heappush(class_heaps[c], (-nbrs[w],) + rank(w))
-        c = sa.label_class.get(u)
-        if c is not None:
-            in_class[c] += 1
-            push_best(c)
+            if not placed[w]:
+                nbrs[w] += 1
+                heapq.heappush(heap, (-nbrs[w], hist_a[col_a[w]], col_a[w], w))
     return order
 
 
 def _iso_candidates(
     sa: _SearchPoset, sb: _SearchPoset
 ) -> Iterator[dict[str, str]]:
-    """Yield poset isomorphisms (mate-consistent) in deterministic order.
+    """Yield the isomorphisms of the search graphs, restricted to the faces,
+    in deterministic order.
 
-    The backtracking runs on an explicit stack, so its depth is not bounded
-    by the interpreter's recursion limit.  For ``sa is sb`` (automorphisms)
-    one refinement serves both sides: interning one copy of the keys gives
-    the same colour ids as interning two.
+    A face map fixes the image of every label node, so each is yielded
+    once.  The backtracking runs on an explicit stack, so its depth is not
+    bounded by the interpreter's recursion limit.  For ``sa is sb``
+    (automorphisms) one refinement serves both sides: interning one copy of
+    the keys gives the same colour ids as interning two.
     """
-    if len(sa.ids) != len(sb.ids):
+    if len(sa.up) != len(sb.up):
         return
     if sa is sb:
         col_a = col_b = _joint_refine([sa], [sa.init_key])[0]
@@ -263,69 +212,46 @@ def _iso_candidates(
     if hist_a != _histogram(col_b):
         return
 
-    by_color_b: dict[int, list[str]] = {}
-    for f in sb.ids:
-        by_color_b.setdefault(col_b[f], []).append(f)
+    by_color_b: dict[int, list[int]] = {}
+    for v, c in enumerate(col_b):
+        by_color_b.setdefault(c, []).append(v)
 
     order = _search_order(sa, col_a, hist_a)
-    # sb.ids is sorted, so each color's candidates are in id order.
-    candidates = [by_color_b.get(col_a[u], []) for u in order]
-    phi: dict[str, str] = {}
-    used: set[str] = set()
-    # Mates must map to mates.  The placed members of a label class of a all
-    # map into one class of b, image[class], and the counts must agree.
-    placed_a = {c: 0 for c in sa.classes}
-    used_b = {c: 0 for c in sb.classes}
-    image: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # Faces of b are numbered in id order, so each color's candidates are too.
+    candidates = [by_color_b[col_a[u]] for u in order]
+    phi = [-1] * len(sa.up)  # image of each node of a; -1 while unplaced
+    used = [False] * len(sb.up)
 
-    def consistent(u: str, v: str) -> bool:
+    def consistent(u: int, v: int) -> bool:
         for rel_a, rel_b in ((sa.up, sb.up), (sa.down, sb.down)):
             count = 0
             for w in rel_a[u]:
-                if w in phi:
+                if phi[w] >= 0:
                     count += 1
                     if phi[w] not in rel_b[v]:
                         return False
-            if sum(1 for w in rel_b[v] if w in used) != count:
+            if sum(1 for w in rel_b[v] if used[w]) != count:
                 return False
-        ca = sa.label_class.get(u)
-        if ca is None:
-            return True
-        cb = sb.label_class[v]
-        n = placed_a[ca]
-        return n == used_b[cb] and (n == 0 or image[ca] == cb)
+        return True
 
-    def place(u: str, v: str) -> None:
-        phi[u] = v
-        used.add(v)
-        ca = sa.label_class.get(u)
-        if ca is not None:
-            cb = sb.label_class[v]
-            placed_a[ca] += 1
-            used_b[cb] += 1
-            image[ca] = cb
+    def unplace(u: int) -> None:
+        used[phi[u]] = False
+        phi[u] = -1
 
-    def unplace(u: str) -> None:
-        v = phi.pop(u)
-        used.discard(v)
-        ca = sa.label_class.get(u)
-        if ca is not None:
-            placed_a[ca] -= 1
-            used_b[sb.label_class[v]] -= 1
-
+    faces = range(len(sa.ids))
     # next_index[i]: where the scan of order[i]'s candidates resumes.
     next_index = [0] * len(order)
     depth = 0
     while depth >= 0:
         if depth == len(order):
-            yield dict(phi)
+            yield {sa.ids[u]: sb.ids[phi[u]] for u in faces}
             depth -= 1
             unplace(order[depth])
             continue
         u = order[depth]
         cands = candidates[depth]
         j = next_index[depth]
-        while j < len(cands) and (cands[j] in used or not consistent(u, cands[j])):
+        while j < len(cands) and (used[cands[j]] or not consistent(u, cands[j])):
             j += 1
         if j == len(cands):
             next_index[depth] = 0
@@ -334,7 +260,8 @@ def _iso_candidates(
                 unplace(order[depth])
             continue
         next_index[depth] = j + 1
-        place(u, cands[j])
+        phi[u] = cands[j]
+        used[cands[j]] = True
         depth += 1
 
 
@@ -407,88 +334,63 @@ def _conclusion(equivalent: bool, mode: str, hyp: dict[str, bool]) -> str:
 
 def strong_equivalence(a: CharacteristicPair, b: CharacteristicPair) -> Verdict:
     """Decide equivalence with facet labels matched exactly."""
-    hyp = _hypotheses(a, b)
-    reason = _shape_mismatch(a, b)
-    if reason is None:
-        multiset_a = sorted(v.coords for v in a.labels().values())
-        multiset_b = sorted(v.coords for v in b.labels().values())
-        if multiset_a != multiset_b:
-            reason = "facet label multisets differ"
-    if reason is not None:
-        return Verdict(False, "strong", reason=reason, hypotheses=hyp,
-                       conclusion="not equivalent")
-    labels_a, labels_b = a.labels(), b.labels()
-    sa = _SearchPoset(a.poset, labels_a, "strong")
-    sb = _SearchPoset(b.poset, labels_b, "strong")
-    for phi in _iso_candidates(sa, sb):
-        if all(labels_a[f] == labels_b[phi[f]] for f in labels_a):
-            witness = IsoWitness(phi=phi, auto=None)
-            if not verify_witness(a, b, witness, "strong"):
-                raise RuntimeError("internal: strong witness failed re-verification")
-            return Verdict(
-                True,
-                "strong",
-                witness=witness,
-                hypotheses=hyp,
-                conclusion=_conclusion(True, "strong", hyp),
-                witness_unique=True,
-            )
-    return Verdict(
-        False,
-        "strong",
-        reason="no label-preserving poset isomorphism",
-        hypotheses=hyp,
-        conclusion="not equivalent",
-    )
+    return _decide(a, b, "strong")
 
 
 def weak_equivalence(a: CharacteristicPair, b: CharacteristicPair) -> Verdict:
     """Decide equivalence with labels matched up to one A in GL(k, Z)."""
+    return _decide(a, b, "weak")
+
+
+def _decide(a: CharacteristicPair, b: CharacteristicPair, mode: str) -> Verdict:
+    """The decider of both modes.  In strong mode every isomorphism of the
+    search graphs keeps the labels; in weak mode the first one whose label
+    matrices admit a torus automorphism is the witness."""
     hyp = _hypotheses(a, b)
+    labels_a, labels_b = a.labels(), b.labels()
     reason = _shape_mismatch(a, b)
-    if reason is None:
-        sizes_a = sorted(_label_class_sizes(a))
-        sizes_b = sorted(_label_class_sizes(b))
+    if reason is None and mode == "strong":
+        multiset_a = sorted(v.coords for v in labels_a.values())
+        multiset_b = sorted(v.coords for v in labels_b.values())
+        if multiset_a != multiset_b:
+            reason = "facet label multisets differ"
+    elif reason is None:
+        sizes_a = sorted(Counter(v.coords for v in labels_a.values()).values())
+        sizes_b = sorted(Counter(v.coords for v in labels_b.values()).values())
         if sizes_a != sizes_b:
             reason = "label-class size multisets differ"
     if reason is not None:
-        return Verdict(False, "weak", reason=reason, hypotheses=hyp,
+        return Verdict(False, mode, reason=reason, hypotheses=hyp,
                        conclusion="not equivalent")
     facets = a.poset.facets()
-    labels_a, labels_b = a.labels(), b.labels()
-    sa = _SearchPoset(a.poset, labels_a, "weak")
-    sb = _SearchPoset(b.poset, labels_b, "weak")
+    sa = _SearchPoset(a.poset, labels_a, mode)
+    sb = _SearchPoset(b.poset, labels_b, mode)
     for phi in _iso_candidates(sa, sb):
-        src = [labels_a[f] for f in facets]
-        dst = [labels_b[phi[f]] for f in facets]
-        sol = solve_unimodular(src, dst, a.k)
-        if sol is None:
-            continue
-        witness = IsoWitness(phi=phi, auto=sol.matrix)
-        if not verify_witness(a, b, witness, "weak"):
-            raise RuntimeError("internal: weak witness failed re-verification")
+        auto, unique = None, True
+        if mode == "weak":
+            src = [labels_a[f] for f in facets]
+            dst = [labels_b[phi[f]] for f in facets]
+            sol = solve_unimodular(src, dst, a.k)
+            if sol is None:
+                continue
+            auto, unique = sol.matrix, sol.unique
+        witness = IsoWitness(phi=phi, auto=auto)
+        if not verify_witness(a, b, witness, mode):
+            raise RuntimeError(f"internal: {mode} witness failed re-verification")
         return Verdict(
             True,
-            "weak",
+            mode,
             witness=witness,
             hypotheses=hyp,
-            conclusion=_conclusion(True, "weak", hyp),
-            witness_unique=sol.unique,
+            conclusion=_conclusion(True, mode, hyp),
+            witness_unique=unique,
         )
-    return Verdict(
-        False,
-        "weak",
-        reason="no poset isomorphism admits a compatible torus automorphism",
-        hypotheses=hyp,
-        conclusion="not equivalent",
-    )
-
-
-def _label_class_sizes(cp: CharacteristicPair) -> list[int]:
-    counts: dict[tuple[int, ...], int] = {}
-    for v in cp.labels().values():
-        counts[v.coords] = counts.get(v.coords, 0) + 1
-    return list(counts.values())
+    if mode == "strong":
+        reason = "no label-preserving poset isomorphism"
+    else:
+        reason = "no poset isomorphism admits a compatible torus automorphism"
+    return Verdict(False, mode, reason=reason, hypotheses=hyp,
+                   conclusion="not equivalent")
 
 
 def verify_witness(
@@ -542,6 +444,15 @@ def canonical_form(cp: CharacteristicPair, mode: str) -> str:
 
     Supported for posets with at most 64 faces; beyond that a
     CanonicalFormError is raised and the pairwise deciders remain usable.
+
+    Both modes serialize the search graph in the node order of a least
+    leaf: k, d, each node's codimension ("L" for a label node) and the
+    covers.  The strong form also lists the label nodes' coordinates, so
+    its least leaves are the label-preserving automorphisms.  The weak
+    form's least leaves are the poset automorphisms that keep which facets
+    share a label.  Every weak isomorphism keeps that, so the least
+    GL(k, Z) x sign normal form of the label matrix over those leaves,
+    appended to the string, completes a weak invariant.
     """
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
@@ -550,39 +461,75 @@ def canonical_form(cp: CharacteristicPair, mode: str) -> str:
             f"no canonical form: poset has {len(cp.poset)} faces "
             f"(limit {CANONICAL_FORM_MAX_FACES})"
         )
+    labels = cp.labels()
+    struct = _SearchPoset(cp.poset, labels, mode)
+    n_faces = len(struct.ids)
+    tags = [str(c) for c in struct.codim] + ["L"] * len(struct.label_coords)
+    edges = [(lo, up) for lo, ups in enumerate(struct.up) for up in ups]
+    head = f"k={cp.k}|d={cp.dim_orbit}"
+
+    def serialize(order: list[int]) -> str:
+        index = [0] * len(order)
+        for i, u in enumerate(order):
+            index[u] = i
+        cov = ";".join(
+            f"{lo}>{up}" for lo, up in sorted((index[lo], index[up]) for lo, up in edges)
+        )
+        out = f"{head}|c={','.join(tags[u] for u in order)}|cov={cov}"
+        if mode == "strong":
+            lam = ";".join(
+                ",".join(str(x) for x in struct.label_coords[u - n_faces])
+                for u in order
+                if u >= n_faces
+            )
+            out += f"|lam={lam}"
+        return out
+
+    best, leaves = _least_leaves(struct, serialize)
     if mode == "strong":
-        return _canon_strong(cp)
-    return _canon_weak(cp)
+        return best
+    lam = ""
+    if labels:
+        facet_labels = {
+            u: labels[f].coords for u, f in enumerate(struct.ids) if f in labels
+        }
+        matrices = {
+            tuple(zip(*(facet_labels[u] for u in order if u in facet_labels)))
+            for order in leaves
+        }
+        form = min(gl_sign_normal_form(m) for m in matrices)
+        lam = ";".join(",".join(str(x) for x in row) for row in form)
+    return f"{best}|lam={lam}"
 
 
 def _least_leaves(
-    struct: _SearchPoset, serialize: Callable[[list[str]], str]
-) -> tuple[str, list[list[str]]]:
+    struct: _SearchPoset, serialize: Callable[[list[int]], str]
+) -> tuple[str, list[list[int]]]:
     """Individualization-refinement search over ``struct``: the least
-    serialization of a leaf, and the face order of every leaf reaching it.
+    serialization of a leaf, and the node order of every leaf reaching it.
 
-    A leaf is a discrete refined colouring, read as a face order.  The tree
+    A leaf is a discrete refined colouring, read as a node order.  The tree
     depends on ``struct`` only up to isomorphism, so the least serialization
     is invariant; two least leaves differ by an automorphism of whatever the
     serialization records (McKay and Piperno, "Practical graph isomorphism,
     II", J. Symbolic Comput. 2014).
     """
 
-    def descend(col: dict[str, int]) -> tuple[str, list[list[str]]]:
-        cells: dict[int, list[str]] = {}
-        for f, c in col.items():
-            cells.setdefault(c, []).append(f)
+    def descend(col: list[int]) -> tuple[str, list[list[int]]]:
+        cells: dict[int, list[int]] = {}
+        for u, c in enumerate(col):
+            cells.setdefault(c, []).append(u)
         target = None
         for c in sorted(cells):
             if len(cells[c]) > 1:
                 target = c
                 break
         if target is None:
-            order = sorted(struct.ids, key=lambda f: col[f])
+            order = sorted(range(len(col)), key=col.__getitem__)
             return serialize(order), [order]
         best, leaves = None, []
-        for f in sorted(cells[target]):
-            keys = {g: (col[g], 1 if g == f else 0) for g in struct.ids}
+        for u in cells[target]:
+            keys = [(c, 1 if g == u else 0) for g, c in enumerate(col)]
             s, sub = descend(_joint_refine([struct], [keys])[0])
             if best is None or s < best:
                 best, leaves = s, sub
@@ -591,73 +538,3 @@ def _least_leaves(
         return best, leaves
 
     return descend(_joint_refine([struct], [struct.init_key])[0])
-
-
-def _shape_serializer(
-    cp: CharacteristicPair, struct: _SearchPoset
-) -> Callable[[list[str]], tuple[dict[str, int], str]]:
-    """Map a face order to its face index and to k, d, the codimensions and
-    the covers written in that order."""
-    covers = cp.poset.covers()
-    head = f"k={cp.k}|d={cp.dim_orbit}"
-
-    def shape(order: list[str]) -> tuple[dict[str, int], str]:
-        index = {f: i for i, f in enumerate(order)}
-        codims = ",".join(str(struct.codim[f]) for f in order)
-        cov = ";".join(
-            f"{lo}>{up}" for lo, up in sorted((index[lo], index[up]) for lo, up in covers)
-        )
-        return index, f"{head}|c={codims}|cov={cov}"
-
-    return shape
-
-
-def _canon_strong(cp: CharacteristicPair) -> str:
-    labels = cp.labels()
-    struct = _SearchPoset(cp.poset, labels, "strong")
-    shape = _shape_serializer(cp, struct)
-
-    def serialize(order: list[str]) -> str:
-        index, head = shape(order)
-        lam = ";".join(
-            f"{index[f]}:" + ",".join(str(x) for x in labels[f].coords)
-            for f in sorted(labels, key=lambda f: index[f])
-        )
-        return f"{head}|lam={lam}"
-
-    return _least_leaves(struct, serialize)[0]
-
-
-def _canon_weak(cp: CharacteristicPair) -> str:
-    """Least weak-invariant serialization, plus the least GL(k, Z) x sign
-    normal form of the label matrix over the leaves that reach it.
-
-    The serialization records the label classes, not the labels, so its
-    least leaves are exactly the automorphisms of the poset that keep the
-    label-class partition.  Every weak isomorphism keeps that partition, so
-    the minimum over those leaves is a complete weak invariant.
-    """
-    labels = cp.labels()
-    struct = _SearchPoset(cp.poset, labels, "weak")
-    shape = _shape_serializer(cp, struct)
-
-    def serialize(order: list[str]) -> str:
-        index, head = shape(order)
-        first: dict[tuple[int, ...], int] = {}
-        cls = []
-        for f in order:
-            c = struct.label_class.get(f)
-            if c is not None:
-                cls.append(f"{index[f]}:{first.setdefault(c, index[f])}")
-        return f"{head}|cls={';'.join(cls)}"
-
-    best, leaves = _least_leaves(struct, serialize)
-    lam = ""
-    if labels:
-        matrices = {
-            tuple(zip(*(labels[f].coords for f in order if f in labels)))
-            for order in leaves
-        }
-        form = min(gl_sign_normal_form(m) for m in matrices)
-        lam = ";".join(",".join(str(x) for x in row) for row in form)
-    return f"{best}|lam={lam}"

@@ -8,19 +8,12 @@ line errors give a "usage" error report and any unexpected exception an
 "internal" one, both with exit 2 and nothing on stderr; --help alone prints
 plain text.  Reports can also be written to a file, atomically, with
 --output.  Input files are never modified.
-
-The census still reads and validates the LSTORUS_THREADS environment
-variable (a positive integer, else a "census" error with exit 2), but runs
-single-threaded whatever its value: the search is CPU-bound Python, and the
-former thread pool gained nothing on 2 CPUs (see the census module).
-Output is byte-identical for any value.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from typing import Optional
 
@@ -48,9 +41,6 @@ from .documents import (
     write_atomic,
 )
 from .localmodel import LocalModelError, run_local_checks
-
-THREADS_ENV = "LSTORUS_THREADS"
-
 
 class _UsageError(Exception):
     def __init__(self, message: str, prog: str):
@@ -87,18 +77,6 @@ def _error_report(command: Optional[str], kind: str, exc: Exception) -> dict:
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CensusError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise CensusError(f"{THREADS_ENV} must be >= 1, got {value}")
 
 
 def _verdict_object(verdict: Verdict) -> dict:
@@ -243,7 +221,6 @@ def cmd_census(args: argparse.Namespace) -> int:
         _emit(_error_report(command, "document", exc), args.output)
         return 2
     try:
-        _check_threads_env()
         spec = CensusSpec(
             poset=doc.poset,
             k=args.k,

@@ -86,7 +86,6 @@ class ModelPoint:
             if type(v) is not float:
                 t = tuple(map(float, t))
                 break
-        t = tuple(map(_reduce_angle, t))
         for v in y:
             if type(v) is not float:
                 y = tuple(map(float, y))
@@ -94,11 +93,12 @@ class ModelPoint:
         for v in z:
             if not cmath.isfinite(v):
                 raise LocalModelError(f"non-finite z entry {v!r}")
+        # Before the reduction: math.fmod raises on an infinite angle.
         for v in t + y:
             if not math.isfinite(v):
                 raise LocalModelError("non-finite coordinate")
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", tuple(map(_reduce_angle, t)))
         object.__setattr__(self, "y", y)
 
 

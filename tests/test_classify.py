@@ -545,18 +545,16 @@ def test_weak_canonical_form_partition_matches_census_on_prism():
 
 
 def _greedy_order_by_definition(sa, col, hist):
-    """The search order straight from its definition, in O(n^2) scans."""
-    def mates(f):
-        c = sa.label_class.get(f)
-        return [g for g in sa.classes.get(c, []) if g != f]
-
+    """The search order straight from its definition, in O(n^2) scans: the
+    neighbours of a node are the nodes covering it and covered by it, label
+    nodes included."""
     order, placed = [], set()
-    while len(order) < len(sa.ids):
-        def key(f):
-            near = [*sa.up[f], *sa.down[f], *mates(f)]
-            return (-sum(g in placed for g in near), hist[col[f]], col[f], f)
+    while len(order) < len(col):
+        def key(u):
+            near = sa.up[u] | sa.down[u]
+            return (-sum(w in placed for w in near), hist[col[u]], col[u], u)
 
-        u = min((f for f in sa.ids if f not in placed), key=key)
+        u = min((u for u in range(len(col)) if u not in placed), key=key)
         order.append(u)
         placed.add(u)
     return order
@@ -616,7 +614,7 @@ def test_iso_candidates_are_exactly_the_isomorphisms(mode):
         square_pair([(1, 0), (1, 0), (1, 0), (1, 0)]),
         square_pair([(1, 0), (0, 1), (1, 0), (1, 1)]),
         # Not a valid pair, but a rotation keeps every color and breaks the
-        # label classes, so only the mate check rules it out.
+        # label classes, so only the label nodes rule it out.
         square_pair([(1, 0), (1, 0), (0, 1), (0, 1)]),
         cp_pair(2),
         polygon_pair(5),

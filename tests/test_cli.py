@@ -81,6 +81,40 @@ def test_iso_pair_vs_renamed_self(capsys, tmp_path):
     assert report["verdict"]["witness"]["phi"]
 
 
+def test_no_label_node_leaks_into_a_face_map(capsys, tmp_path):
+    """The searches add one node per label; every map they hand out still
+    has exactly the face ids as keys and values."""
+    from lstorus.charpair import rename_faces
+    from lstorus.classify import _SearchPoset, _iso_candidates, poset_automorphisms
+
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        ids = doc.poset.ids()
+        autos = list(itertools.islice(poset_automorphisms(doc.poset), 50))
+        assert autos
+        for phi in autos:
+            assert sorted(phi) == sorted(phi.values()) == ids
+        cp = doc.pair
+        if cp is None:
+            continue
+        renamed = rename_faces(cp, {f: f"z{f}" for f in ids})
+        renamed_ids = renamed.poset.ids()
+        other = tmp_path / path.name
+        other.write_text(serialize_pair(renamed), encoding="utf-8")
+        for mode in ("strong", "weak"):
+            maps = list(itertools.islice(_iso_candidates(
+                _SearchPoset(cp.poset, cp.labels(), mode),
+                _SearchPoset(renamed.poset, renamed.labels(), mode),
+            ), 50))
+            assert maps
+            for phi in maps:
+                assert sorted(phi) == ids and sorted(phi.values()) == renamed_ids
+            code, report = run_cli(capsys, "iso", str(path), str(other), "--mode", mode)
+            assert code == 0
+            phi = report["verdict"]["witness"]["phi"]
+            assert sorted(phi) == ids and sorted(phi.values()) == renamed_ids
+
+
 def test_iso_distinct_hirzebruch(capsys):
     code, report = run_cli(
         capsys,
@@ -256,21 +290,6 @@ def test_census_byte_identical_across_runs_and_threads(capsys, monkeypatch, tmp_
     assert main(args + ["--output", str(out4)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes() == out4.read_bytes()
-
-
-def test_census_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("LSTORUS_THREADS", "many")
-    code, report = run_cli(
-        capsys,
-        "census",
-        "--poset",
-        str(FIXTURES / "simplex2.json"),
-        "--k",
-        "2",
-        "--bound",
-        "1",
-    )
-    assert code == 2
 
 
 def test_census_more_facets_than_recursion_limit(capsys, tmp_path):

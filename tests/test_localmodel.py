@@ -400,6 +400,14 @@ def test_internal_results_keep_the_constructor_checks():
         orbit_map(ModelPoint([complex(1e200, 0.0)], [], []))
 
 
+def test_infinite_angles_are_non_finite_coordinates():
+    for angle in (math.inf, -math.inf):
+        with pytest.raises(LocalModelError, match="non-finite coordinate"):
+            ModelPoint([], [angle], [])
+        with pytest.raises(LocalModelError, match="non-finite coordinate"):
+            torus_act([angle], ModelPoint([], [0.1], []), 0)
+
+
 def test_spec_validation():
     with pytest.raises(LocalModelError):
         SmoothMapSpec(
