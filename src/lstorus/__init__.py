@@ -20,8 +20,6 @@ from .charpair import (
     Attestations,
     CharacteristicPair,
     CharPairError,
-    lambda_of_face,
-    local_signature,
     relabel,
     rename_faces,
     validate_characteristic,
@@ -109,9 +107,7 @@ __all__ = [
     "even_substitution",
     "hnf",
     "is_direct_summand",
-    "lambda_of_face",
     "lift_diffeo",
-    "local_signature",
     "orbit_map",
     "parse_document",
     "parse_pair",

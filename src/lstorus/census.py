@@ -4,11 +4,16 @@ Labels range over the primitive sign-canonical vectors with entries in
 [-B, B].  That box is a user choice: the full label space is infinite and
 no finite bound can be complete, so census counts are always relative to B.
 
+The budget compares |box|^(number of facets) with the spec's budget before
+any enumeration; |box| is counted by Moebius inversion, not listed.
+
 Enumeration is exact backtracking facet by facet, in an order compatible
-with the face ordering by reverse inclusion, pruning a branch as soon as
-some face has all of its facets labeled and the labels fail the
-direct-summand condition.  Results are deterministic: identical inputs give
-identical outputs.
+with the face ordering by reverse inclusion.  The labels allowed at a facet
+are a bitmask over the box: the AND, over the faces that the facet
+completes, of the labels that make that face pass the direct-summand test
+given the labels already on its other facets.  Those masks are memoised on
+the other facets' labels, so a branch is cut the moment no label fits.
+Results are deterministic: identical inputs give identical outputs.
 
 Deduplication works on orbits of the poset's automorphism group Aut(P),
 which is found once per census, lazily, by the isomorphism search of
@@ -71,6 +76,30 @@ def primitive_vectors_in_box(k: int, bound: int) -> list[PrimitiveVector]:
     return sorted(out, key=lambda v: v.coords)
 
 
+def count_primitive_vectors_in_box(k: int, bound: int) -> int:
+    """``len(primitive_vectors_in_box(k, bound))``, without building the box.
+
+    By Moebius inversion over the gcd d of the entries, the nonzero vectors
+    of the box with gcd 1 number sum_{d=1..bound} mu(d) * ((2*(bound//d) + 1)^k
+    - 1), and half of them are sign-canonical.  The sieve for mu takes
+    O(bound) steps and memory, so a bound of 10^7 or more is slow.
+    """
+    if k < 1 or bound < 1:
+        raise CensusError("need k >= 1 and bound >= 1 for a nonempty label box")
+    mu = [1] * (bound + 1)
+    seen = bytearray(bound + 1)  # multiples of a prime already sieved
+    for p in range(2, bound + 1):
+        if seen[p]:
+            continue
+        for m in range(p, bound + 1, p):
+            seen[m] = 1
+            mu[m] = -mu[m]
+        for m in range(p * p, bound + 1, p * p):
+            mu[m] = 0
+    total = sum(mu[d] * ((2 * (bound // d) + 1) ** k - 1) for d in range(1, bound + 1))
+    return total // 2
+
+
 @dataclass(frozen=True)
 class CensusSpec:
     poset: FacePoset
@@ -115,10 +144,16 @@ class CensusResult:
 def enumerate_labelings(spec: CensusSpec) -> list[Labeling]:
     """All valid labelings in lexicographic vocabulary order.
 
-    Whether a face passes depends only on the vocabulary vectors on its facet
-    star, so each summand test is memoised on the sorted tuple of their
-    vocabulary indices.  The depth-first search keeps an explicit stack, so
-    posets with more facets than the recursion limit are fine.
+    A face is checked at the position of its last facet.  Whether it passes
+    depends only on the vocabulary indices on its facet star, so for each
+    sorted tuple of indices on its other facets an ``int`` bitmask records
+    which vocabulary indices pass the summand test there.  The candidates at
+    a position are the AND of the masks of the faces checked there; a face
+    with more than k facets leaves none.  Masks are filled lazily, each
+    summand test memoised on the sorted index tuple it decides.  The
+    depth-first search walks set bits upward, so the output keeps the
+    vocabulary order, and keeps an explicit stack, so posets with more
+    facets than the recursion limit are fine.
     """
     poset = spec.poset
     ext = poset.linear_extension()
@@ -127,43 +162,74 @@ def enumerate_labelings(spec: CensusSpec) -> list[Labeling]:
         return [()]
     vocab = [v.coords for v in primitive_vectors_in_box(spec.k, spec.entry_bound)]
     pos = {f: i for i, f in enumerate(facets)}
-    # Every face is checked the moment its last facet gets a label.
-    check_at: list[list[list[int]]] = [[] for _ in facets]
+    # Per position, the other facets of each face checked there; None when
+    # one of those faces has more facets than the torus rank.
+    check_at: list[Optional[list[list[int]]]] = [[] for _ in facets]
     for f in poset.ids():
         star = poset.facets_containing(f)
         if not star:
             continue
-        positions = [pos[x] for x in star]
-        check_at[max(positions)].append(positions)
+        positions = sorted(pos[x] for x in star)
+        last = positions.pop()
+        if len(star) > spec.k:
+            check_at[last] = None
+        elif check_at[last] is not None:
+            check_at[last].append(positions)
 
     summand: dict[tuple[int, ...], bool] = {}
-    chosen = [-1] * len(facets)  # vocabulary index per facet; the stack
+    masks: dict[tuple[int, ...], int] = {}
 
-    def passes(i: int) -> bool:
-        for positions in check_at[i]:
-            if len(positions) > spec.k:
-                return False
-            key = tuple(sorted([chosen[p] for p in positions]))
+    def mask_of(others: tuple[int, ...]) -> int:
+        mask = 0
+        for j in range(len(vocab)):
+            key = tuple(sorted(others + (j,)))
             ok = summand.get(key)
             if ok is None:
-                ok = summand[key] = is_direct_summand(tuple(vocab[j] for j in key))
-            if not ok:
-                return False
-        return True
+                ok = summand[key] = is_direct_summand(tuple(vocab[x] for x in key))
+            if ok:
+                mask |= 1 << j
+        return mask
+
+    last = len(facets) - 1
+    chosen = [0] * last  # vocabulary index per facet above the last
+    everything = (1 << len(vocab)) - 1
+
+    def candidates(i: int) -> int:
+        faces = check_at[i]
+        if faces is None:
+            return 0
+        allowed = everything
+        for others in faces:
+            key = tuple(sorted([chosen[p] for p in others]))
+            mask = masks.get(key)
+            if mask is None:
+                mask = masks[key] = mask_of(key)
+            allowed &= mask
+            if not allowed:
+                break
+        return allowed
 
     out: list[Labeling] = []
-    last = len(facets) - 1
+    untried = [0] * len(facets)  # candidate bits per position not yet tried
+    untried[0] = candidates(0)
     i = 0
     while i >= 0:
-        chosen[i] += 1
-        if chosen[i] == len(vocab):
-            chosen[i] = -1
+        bits = untried[i]
+        if i == last:
+            prefix = tuple(vocab[j] for j in chosen)
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                out.append(prefix + (vocab[low.bit_length() - 1],))
             i -= 1
-        elif passes(i):
-            if i == last:
-                out.append(tuple(vocab[j] for j in chosen))
-            else:
-                i += 1
+        elif bits:
+            low = bits & -bits
+            untried[i] = bits ^ low
+            chosen[i] = low.bit_length() - 1
+            i += 1
+            untried[i] = candidates(i)
+        else:
+            i -= 1
     return out
 
 
@@ -182,8 +248,10 @@ def enumerate_census(spec: CensusSpec) -> CensusResult:
         raise CensusError("poset is invalid; run validation for details")
     ext = spec.poset.linear_extension()
     facets = tuple(f for f in ext if spec.poset.codim(f) == 1)
-    vocab = primitive_vectors_in_box(spec.k, spec.entry_bound)
-    estimate = len(vocab) ** len(facets)
+    # Counted, not built: the box has (2B+1)^k points, too many to list
+    # before a refusal when B or k is large.
+    box = count_primitive_vectors_in_box(spec.k, spec.entry_bound)
+    estimate = box ** len(facets)
     if estimate > spec.budget:
         raise BudgetExceededError(estimate, spec.budget)
 

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .faceposet import FacePoset, ValidityReport, Violation
-from .lattice import (
-    Matrix,
-    PrimitiveVector,
-    Subtorus,
-    apply_auto,
-    is_direct_summand,
-    saturate,
-)
+from .lattice import Matrix, PrimitiveVector, apply_auto, is_direct_summand
 
 
 class CharPairError(ValueError):
@@ -112,14 +105,6 @@ class CharacteristicPair:
         return f"CharacteristicPair(k={self.k}, {self.poset!r})"
 
 
-def lambda_of_face(cp: CharacteristicPair, fid: str) -> Subtorus:
-    """Isotropy subtorus of the stratum fid: saturation of its facet labels."""
-    rows = cp.star_matrix(fid)
-    if not rows:
-        return Subtorus.trivial(cp.k)
-    return saturate(rows)
-
-
 def validate_characteristic(cp: CharacteristicPair) -> ValidityReport:
     """Check the direct-summand condition at every face.
 
@@ -169,17 +154,6 @@ def validate_characteristic(cp: CharacteristicPair) -> ValidityReport:
             )
     violations = tuple(v for _, v in sorted(found.items()))
     return ValidityReport(not violations, violations)
-
-
-def local_signature(cp: CharacteristicPair, fid: str) -> tuple[int, int, int]:
-    """Chart dimensions (n, k - n, d - n) at the stratum fid."""
-    n = cp.poset.codim(fid)
-    if n > cp.k or n > cp.dim_orbit:
-        raise CharPairError(
-            f"face {fid!r} has codimension {n} beyond the local model bounds "
-            f"(k={cp.k}, d={cp.dim_orbit}); the pair is invalid"
-        )
-    return (n, cp.k - n, cp.dim_orbit - n)
 
 
 def relabel(cp: CharacteristicPair, auto: Matrix) -> CharacteristicPair:

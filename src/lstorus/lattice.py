@@ -186,19 +186,33 @@ def gl_sign_normal_form(m: Matrix) -> Matrix:
     the HNF, so the form is the minimum over those flips.  Flipping every
     column is the row operation -I, so the first pivot column stays as it is
     and 2^(rank-1) flips suffice.
+
+    The HNF is computed once.  A flip of pivot columns keeps it in echelon
+    form with the same pivots, so the HNF of the flipped matrix comes from
+    one sweep, pivots left to right: negate the row if its pivot became
+    negative, then reduce the entries above the pivot into [0, pivot).  The
+    HNF is unique, so this is what a fresh reduction would give.
     """
     h = _hnf_rows(as_matrix(m))
     pivots = [next(j for j, x in enumerate(row) if x) for row in h if any(row)]
-    pivot_set = set(pivots)
+    free = [j for j in range(len(h[0])) if j not in pivots]
     best = None
     for signs in itertools.product((1, -1), repeat=max(len(pivots) - 1, 0)):
-        flip = dict(zip(pivots[1:], signs))
-        rows = _hnf_rows(
-            tuple(tuple(x * flip.get(j, 1) for j, x in enumerate(row)) for row in h)
-        )
-        for j in range(len(rows[0])):
-            if j in pivot_set:
-                continue
+        rows = [list(row) for row in h]
+        for c, sign in zip(pivots[1:], signs):
+            if sign < 0:
+                for row in rows:
+                    row[c] = -row[c]
+        for r, c in enumerate(pivots):
+            pivot_row = rows[r]
+            if pivot_row[c] < 0:
+                pivot_row = rows[r] = [-x for x in pivot_row]
+            p = pivot_row[c]
+            for i in range(r):
+                q = rows[i][c] // p
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], pivot_row)]
+        for j in free:
             lead = next((row[j] for row in rows if row[j]), 0)
             if lead < 0:
                 for row in rows:
@@ -331,11 +345,6 @@ class Subtorus:
 
     def contains_vector(self, v: Sequence[int]) -> bool:
         return span_contains_vector(self.basis, tuple(v))
-
-    def contains(self, other: "Subtorus") -> bool:
-        if self.k != other.k:
-            raise LatticeError("ambient ranks differ")
-        return all(self.contains_vector(row) for row in other.basis)
 
 
 def span_contains_vector(echelon_basis: Matrix, v: Row) -> bool:

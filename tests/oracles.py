@@ -5,6 +5,11 @@ package under test: permutation-expansion determinants, brute-force span
 membership, sympy's normal forms, and a term-by-term evaluator of the chart
 formulas.  Keep it that way; these functions are
 the other side of every dual-route check in the test suite.
+
+Two are the plain forms of faster kernels, which must match them exactly:
+``enumerate_labelings_reference`` tests every candidate label against every
+face it completes, and ``gl_sign_normal_form_reference`` runs a fresh Hermite
+reduction for every pivot-column flip.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from typing import Optional, Sequence
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 
+from lstorus.census import primitive_vectors_in_box
+from lstorus.lattice import hnf, is_direct_summand
 from lstorus.localmodel import LocalModelError, ModelPoint, XScaleLayer, YShearLayer
 
 
@@ -201,6 +208,33 @@ def gl_orbit_match(
     return False
 
 
+def gl_sign_normal_form_reference(m: Sequence[Sequence[int]]) -> tuple:
+    """Least form over the pivot-column flips, each flip reduced afresh.
+
+    The row HNF settles GL(k, Z); every non-pivot column is then
+    sign-canonicalised (its first nonzero entry positive), and the first
+    pivot column is never flipped, since flipping every column is -I.
+    """
+    h = hnf(m)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h if any(row)]
+    best = None
+    for signs in itertools.product((1, -1), repeat=max(len(pivots) - 1, 0)):
+        flip = dict(zip(pivots[1:], signs))
+        flipped = tuple(tuple(x * flip.get(j, 1) for j, x in enumerate(row)) for row in h)
+        rows = [list(row) for row in hnf(flipped)]
+        for j in range(len(rows[0])):
+            if j in pivots:
+                continue
+            lead = next((row[j] for row in rows if row[j]), 0)
+            if lead < 0:
+                for row in rows:
+                    row[j] = -row[j]
+        form = tuple(tuple(row) for row in rows)
+        if best is None or form < best:
+            best = form
+    return best
+
+
 def census_bruteforce(poset, k: int, vocab: Sequence[tuple[int, ...]]) -> list[tuple]:
     """Unpruned census: full product enumeration over the label vocabulary,
     validity decided by the minor-gcd oracle at every face."""
@@ -218,6 +252,53 @@ def census_bruteforce(poset, k: int, vocab: Sequence[tuple[int, ...]]) -> list[t
         if ok:
             valid.append(labels)
     return valid
+
+
+def enumerate_labelings_reference(spec) -> list[tuple]:
+    """Valid labelings of a CensusSpec in lexicographic vocabulary order.
+
+    Depth-first over the facets in linear-extension order, trying every
+    vocabulary index in turn; a face is checked when its last facet gets a
+    label, with its summand test memoised on the sorted index tuple.
+    """
+    poset = spec.poset
+    facets = [f for f in poset.linear_extension() if poset.codim(f) == 1]
+    if not facets:
+        return [()]
+    vocab = [v.coords for v in primitive_vectors_in_box(spec.k, spec.entry_bound)]
+    pos = {f: i for i, f in enumerate(facets)}
+    check_at: list[list[list[int]]] = [[] for _ in facets]
+    for f in poset.ids():
+        positions = [pos[x] for x in poset.facets_containing(f)]
+        if positions:
+            check_at[max(positions)].append(positions)
+    summand: dict[tuple[int, ...], bool] = {}
+    chosen = [-1] * len(facets)
+
+    def passes(i: int) -> bool:
+        for positions in check_at[i]:
+            if len(positions) > spec.k:
+                return False
+            key = tuple(sorted(chosen[p] for p in positions))
+            if key not in summand:
+                summand[key] = is_direct_summand(tuple(vocab[j] for j in key))
+            if not summand[key]:
+                return False
+        return True
+
+    out = []
+    i = 0
+    while i >= 0:
+        chosen[i] += 1
+        if chosen[i] == len(vocab):
+            chosen[i] = -1
+            i -= 1
+        elif passes(i):
+            if i == len(facets) - 1:
+                out.append(tuple(vocab[j] for j in chosen))
+            else:
+                i += 1
+    return out
 
 
 def exhaustive_pair_equivalent(a, b, mode: str) -> bool:

@@ -10,7 +10,10 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -184,7 +187,7 @@ def test_criterion_2_equivalence_soundness_completeness():
     )
 
 
-def test_criterion_3_census_exactness(tmp_path, monkeypatch):
+def test_criterion_3_census_exactness(tmp_path):
     ok = True
     details = []
     for poset, name in ((triangle_poset(), "triangle"), (square_poset(), "square")):
@@ -221,31 +224,30 @@ def test_criterion_3_census_exactness(tmp_path, monkeypatch):
                         details.append(f"{name} B={bound} {dedup}: class sets differ")
             details.append(f"{name} B={bound}: {len(brute)} labelings")
 
-    # Determinism: byte-identical output across runs and thread counts.
+    # Determinism: byte-identical weak reports in this process and in fresh
+    # interpreters under two hash seeds, which would differ if the report
+    # leaned on the iteration order of sets or dicts of face ids (the
+    # hexagon's edge ids iterate in different orders under these seeds).
     import lstorus.documents as documents
-    from lstorus.fixtures import square_poset as sq
+    from lstorus.fixtures import polygon_poset
 
-    doc = tmp_path / "square.json"
-    doc.write_text(documents.serialize_poset(sq()), encoding="utf-8")
-    outs = []
-    for idx, threads in enumerate(("1", "1", "4")):
-        out = tmp_path / f"census{idx}.json"
-        monkeypatch.setenv("LSTORUS_THREADS", threads)
-        code = main(
-            [
-                "census",
-                "--poset", str(doc),
-                "--k", "2",
-                "--bound", "2",
-                "--dedup", "strong",
-                "--output", str(out),
-            ]
+    doc = tmp_path / "hexagon.json"
+    doc.write_text(documents.serialize_poset(polygon_poset(6)), encoding="utf-8")
+    args = ["census", "--poset", str(doc), "--k", "2", "--bound", "1", "--dedup", "weak"]
+    out = tmp_path / "census.json"
+    code = main(args + ["--output", str(out)])
+    outs = [out.read_bytes() if code == 0 else b"in-process run failed"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lstorus.cli", *args],
+            capture_output=True,
+            env=dict(env, PYTHONHASHSEED=seed),
         )
-        assert code == 0
-        outs.append(out.read_bytes())
+        outs.append(proc.stdout if proc.returncode == 0 else b"")
     if not (outs[0] == outs[1] == outs[2]):
         ok = False
-        details.append("output not byte-identical across runs/threads")
+        details.append("weak report not byte-identical across runs/hash seeds")
     _record("3 census exactness", ok, "(" + "; ".join(details) + ")")
 
 

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +12,9 @@ from lstorus.census import (
     CensusClass,
     CensusError,
     CensusSpec,
+    count_primitive_vectors_in_box,
     enumerate_census,
+    enumerate_labelings,
     primitive_vectors_in_box,
 )
 from lstorus.classify import canonical_form
@@ -23,7 +29,11 @@ from lstorus.fixtures import (
     triangle_poset,
 )
 
-from oracles import census_bruteforce, census_classes_pairwise
+from oracles import (
+    census_bruteforce,
+    census_classes_pairwise,
+    enumerate_labelings_reference,
+)
 
 
 def brute_force_count(poset, k, bound):
@@ -37,6 +47,15 @@ def test_primitive_vectors_in_box():
     assert len(primitive_vectors_in_box(2, 2)) == 8
     with pytest.raises(CensusError):
         primitive_vectors_in_box(2, 0)
+
+
+def test_count_primitive_vectors_in_box_matches_the_box():
+    for k in range(1, 5):
+        for bound in range(1, 9):
+            got = count_primitive_vectors_in_box(k, bound)
+            assert got == len(primitive_vectors_in_box(k, bound)), (k, bound)
+    with pytest.raises(CensusError):
+        count_primitive_vectors_in_box(2, 0)
 
 
 @pytest.mark.parametrize("bound", [1, 2])
@@ -87,6 +106,41 @@ def test_census_known_counts(poset, k, bound, total):
     assert enumerate_census(CensusSpec(poset, k, bound)).total_valid == total
 
 
+def _star_poset(n):
+    facets = [f"F{i:04d}" for i in range(n)]
+    return FacePoset([("T", 0)] + [(f, 1) for f in facets], [(f, "T") for f in facets], 1)
+
+
+@pytest.mark.parametrize(
+    "poset,k,bound",
+    [
+        # The (poset, k, B) settings of the benchmark's census workloads.
+        (prism_poset(), 3, 1),
+        (simplex_poset(3), 3, 1),
+        (pentagon_poset(), 2, 3),
+        (polygon_poset(6), 2, 2),
+        (square_poset(), 2, 4),
+        (square_poset(), 2, 3),
+        (pentagon_poset(), 2, 2),
+        (polygon_poset(6), 2, 1),
+        (triangle_poset(), 3, 1),
+        (_star_poset(6), 2, 1),
+        # Every vertex has two facets, more than k: no labeling at all.
+        (square_poset(), 1, 2),
+        (FacePoset([("T", 0)], [], 3), 2, 1),
+        (_star_poset(1500), 1, 1),
+    ],
+    ids=[
+        "prism", "simplex3", "pentagon-B3", "hexagon-B2", "square-B4", "square-B3",
+        "pentagon-B2", "hexagon-B1", "triangle", "star6", "square-k1", "no-facets",
+        "star1500",
+    ],
+)
+def test_enumerate_labelings_matches_reference(poset, k, bound):
+    spec = CensusSpec(poset, k, bound)
+    assert enumerate_labelings(spec) == enumerate_labelings_reference(spec)
+
+
 def _classes_by_canonical_form(spec, result, labelings):
     groups = {}
     for lab in labelings:
@@ -126,11 +180,6 @@ def test_census_classes_match_references(name, k, bound, dedup):
         labelings, lambda lab: result.pair_for(spec, lab), dedup
     )
     assert got == _classes_by_canonical_form(spec, result, labelings)
-
-
-def _star_poset(n):
-    facets = [f"F{i:04d}" for i in range(n)]
-    return FacePoset([("T", 0)] + [(f, 1) for f in facets], [(f, "T") for f in facets], 1)
 
 
 def test_census_star_strong_classes_are_label_multisets():
@@ -225,9 +274,27 @@ def test_census_dedup_idempotent():
     assert len(set(keys)) == len(keys)
 
 
-def test_census_thread_determinism():
-    spec = CensusSpec(square_poset(), 2, 2, dedup="strong")
-    assert enumerate_census(spec) == enumerate_census(spec)
+def test_census_result_independent_of_hash_seed():
+    # Fresh interpreters under two hash seeds: a census that leaned on set or
+    # dict order of hashed strings would differ between them.  The hexagon's
+    # edge ids iterate in different orders under these two seeds.
+    code = (
+        "from lstorus.census import CensusSpec, enumerate_census\n"
+        "from lstorus.fixtures import polygon_poset\n"
+        "print(repr(enumerate_census(CensusSpec(polygon_poset(6), 2, 1, dedup='weak'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            check=True,
+            env=dict(env, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].startswith(b"CensusResult(total_valid=298,")
 
 
 def test_census_budget_guard():

@@ -7,8 +7,6 @@ from lstorus.charpair import (
     Attestations,
     CharacteristicPair,
     CharPairError,
-    lambda_of_face,
-    local_signature,
     relabel,
     rename_faces,
     validate_characteristic,
@@ -24,7 +22,7 @@ from lstorus.fixtures import (
     square_poset,
     triangle_poset,
 )
-from lstorus.lattice import PrimitiveVector, Subtorus, random_unimodular
+from lstorus.lattice import PrimitiveVector, random_unimodular, saturate
 
 from oracles import label_violations_reference, minor_gcd_is_summand
 
@@ -165,34 +163,11 @@ def test_codim_above_rank_reported():
     assert {v.kind for v in report.violations} == {"codim-rank"}
 
 
-def test_lambda_of_face_values():
-    cp = square_pair([(1, 0), (0, 1), (1, 0), (0, 1)])
-    assert lambda_of_face(cp, "T") == Subtorus.trivial(2)
-    assert lambda_of_face(cp, "E0") == Subtorus(2, ((1, 0),))
-    assert lambda_of_face(cp, "V0") == Subtorus.full(2)
-
-
-def test_lambda_of_face_monotone():
-    for cp in (cp_pair(3), square_pair([(1, 0), (0, 1), (1, 2), (0, 1)])):
-        p = cp.poset
-        for f in p.ids():
-            for g in p.upper_set(f):
-                # g is the bigger face; its isotropy sits inside that of f.
-                assert lambda_of_face(cp, f).contains(lambda_of_face(cp, g))
-
-
 def test_validate_requires_valid_poset():
     bad = FacePoset([("T", 0), ("T2", 0), ("E", 1)], [("E", "T")], 1)
     pair = CharacteristicPair(bad, 1, {"E": PrimitiveVector((1,))})
     with pytest.raises(CharPairError):
         validate_characteristic(pair)
-
-
-def test_local_signature():
-    cp = square_pair([(1, 0), (0, 1), (1, 0), (0, 1)])
-    assert local_signature(cp, "T") == (0, 2, 2)
-    assert local_signature(cp, "E0") == (1, 1, 1)
-    assert local_signature(cp, "V0") == (2, 0, 0)
 
 
 def test_validity_matches_minor_gcd_oracle_exhaustive_k2():
@@ -246,7 +221,7 @@ def test_rename_faces_roundtrip():
 def test_half_plane_pair():
     cp = half_plane_pair()
     assert validate_characteristic(cp).valid
-    assert lambda_of_face(cp, "E").rank == 1
+    assert saturate(cp.star_matrix("E")).rank == 1
 
 
 def test_attestations_parsing():

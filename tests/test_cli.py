@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -267,7 +268,7 @@ def test_census_budget_exceeded(capsys):
     assert report["error"]["estimate"] == 8 ** 4
 
 
-def test_census_byte_identical_across_runs_and_threads(capsys, monkeypatch, tmp_path):
+def test_census_byte_identical_across_runs_and_hash_seeds(capsys, tmp_path):
     args = [
         "census",
         "--poset",
@@ -281,15 +282,36 @@ def test_census_byte_identical_across_runs_and_threads(capsys, monkeypatch, tmp_
     ]
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    out4 = tmp_path / "r4.json"
     assert main(args + ["--output", str(out1)]) == 0
     capsys.readouterr()
     assert main(args + ["--output", str(out2)]) == 0
     capsys.readouterr()
-    monkeypatch.setenv("LSTORUS_THREADS", "4")
-    assert main(args + ["--output", str(out4)]) == 0
-    capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes() == out4.read_bytes()
+    # Fresh interpreters under two hash seeds: a report that leaned on the
+    # iteration order of sets or dicts of face ids would differ between them.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "lstorus.cli", *args],
+            capture_output=True,
+            check=True,
+            env=dict(env, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert out1.read_bytes() == out2.read_bytes() == fresh[0] == fresh[1]
+
+
+def test_census_budget_refused_before_the_box_is_built(capsys):
+    # The box of k = 6, B = 20 has 41^6 points and about 2.3e9 labels; the
+    # refusal must come from counting them, not from listing them.
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys, "census", "--poset", str(FIXTURES / "cube2.json"), "--k", "6", "--bound", "20"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert report["error"]["type"] == "budget"
+    assert report["error"]["estimate"] == 2329548032 ** 4
 
 
 def test_census_more_facets_than_recursion_limit(capsys, tmp_path):

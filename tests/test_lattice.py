@@ -34,6 +34,7 @@ from lstorus.lattice import (
 
 from oracles import (
     gl_orbit_match,
+    gl_sign_normal_form_reference,
     minor_gcd_is_summand,
     rational_rank,
     saturation_members_bruteforce,
@@ -223,8 +224,8 @@ def test_subtorus_equality_and_containment():
     b = saturate(((1, 2),))
     assert a == b
     full = Subtorus.full(2)
-    assert full.contains(a)
-    assert not a.contains(full)
+    assert all(full.contains_vector(row) for row in a.basis)
+    assert not all(a.contains_vector(row) for row in full.basis)
     assert Subtorus.trivial(2).rank == 0
 
 
@@ -475,6 +476,35 @@ def test_gl_sign_normal_form_matches_gl_orbit_match():
         outcomes[same] += 1
         deficient += rank_int(m) < k
     assert min(outcomes.values()) >= 50 and deficient >= 50, (outcomes, deficient)
+
+
+def test_gl_sign_normal_form_matches_reference():
+    # The one-HNF sweep against a fresh reduction per flip, exactly.
+    rng = random.Random(47)
+    shapes = {"zero": 0, "deficient": 0, "row": 0, "column": 0}
+    for case in range(2400):
+        k, n = rng.randint(1, 4), rng.randint(1, 8)
+        if case % 10 == 0:
+            k = 1
+        elif case % 10 == 1:
+            n = 1
+        elif case % 10 in (3, 4):
+            k = rng.randint(2, 4)
+            n = rng.randint(k, 8)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if case % 10 == 2:
+            m = [[0] * n for _ in range(k)]
+        elif case % 10 in (3, 4):
+            # The last row is a combination of the others: rank below k.
+            c = rng.randint(-2, 2)
+            m[-1] = [c * x + y for x, y in zip(m[0], m[k - 2])]
+        m = tuple(tuple(row) for row in m)
+        assert gl_sign_normal_form(m) == gl_sign_normal_form_reference(m), m
+        shapes["zero"] += not any(map(any, m))
+        shapes["deficient"] += 0 < rank_int(m) < min(k, n)
+        shapes["row"] += k == 1
+        shapes["column"] += n == 1
+    assert min(shapes.values()) >= 200, shapes
 
 
 def test_transpose_involution():
