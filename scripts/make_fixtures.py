@@ -22,8 +22,8 @@ from lstorus.fixtures import (
 OUT = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
-def main() -> None:
-    OUT.mkdir(exist_ok=True)
+def fixture_documents() -> dict[str, str]:
+    """Every fixture document: file name -> its canonical text."""
     docs: dict[str, str] = {}
     for n in range(1, 5):
         docs[f"simplex{n}.json"] = serialize_poset(simplex_poset(n))
@@ -37,7 +37,12 @@ def main() -> None:
         square_pair([(1, 0), (0, 1), (1, 0), (0, 1)])
     )
     docs["half_plane.json"] = serialize_pair(half_plane_pair())
-    for name, text in sorted(docs.items()):
+    return docs
+
+
+def main() -> None:
+    OUT.mkdir(exist_ok=True)
+    for name, text in sorted(fixture_documents().items()):
         (OUT / name).write_text(text, encoding="utf-8")
         print(f"wrote fixtures/{name}")
 

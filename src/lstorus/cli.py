@@ -4,10 +4,12 @@ Subcommands: validate, iso, canon, census, localcheck.  Every run prints a
 JSON report to stdout (valid JSON on error paths too) and exits 0 on
 success, 1 on a negative-but-well-formed outcome (invalid pair, not
 equivalent, tolerance failure), 2 on parse/usage/resource errors.  Command
-line errors give a "usage" error report and any unexpected exception an
-"internal" one, both with exit 2 and nothing on stderr; --help alone prints
-plain text.  Reports can also be written to a file, atomically, with
---output.  Input files are never modified.
+line errors give a "usage" error report, a file that cannot be read or
+written an "io" one, input that is not UTF-8 JSON a "document" one, and any
+unexpected exception an "internal" one, all with exit 2 and nothing on
+stderr; --help alone prints plain text.  Reports can also be written to a
+file, atomically, with --output; the file is written before stdout, so a
+failed write prints only its "io" report.  Input files are never modified.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _emit(report: dict, output: Optional[str]) -> None:
     text = canonical_json(report)
-    sys.stdout.write(text)
     if output:
         write_atomic(output, text)
+    sys.stdout.write(text)
 
 
 def _error_report(command: Optional[str], kind: str, exc: Exception) -> dict:
@@ -75,8 +77,12 @@ def _error_report(command: Optional[str], kind: str, exc: Exception) -> dict:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of an input file; ``main`` reports an ``OSError`` as "io"."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _verdict_object(verdict: Verdict) -> dict:
@@ -106,9 +112,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except DocumentError as exc:
         _emit(_error_report(command, "document", exc), args.output)
         return 2
-    except OSError as exc:
-        _emit(_error_report(command, "io", exc), args.output)
-        return 2
     poset_report = doc.poset.validate()
     label_report = None
     if doc.pair is not None and poset_report.valid:
@@ -137,7 +140,7 @@ def _load_valid_pair(command: str, path: str, output: Optional[str]):
         doc = parse_document(_read(path))
         if doc.pair is None:
             raise DocumentError(f"{path}: document has no lambda key")
-    except (DocumentError, OSError) as exc:
+    except DocumentError as exc:
         _emit(_error_report(command, "document", exc), output)
         return None
     poset_report = doc.pair.poset.validate()
@@ -217,7 +220,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     command = "census"
     try:
         doc = parse_document(_read(args.poset))
-    except (DocumentError, OSError) as exc:
+    except DocumentError as exc:
         _emit(_error_report(command, "document", exc), args.output)
         return 2
     try:
@@ -249,10 +252,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         "class_count": len(result.classes),
         "classes": [
             {
-                "labels": {
-                    f: list(v)
-                    for f, v in zip(result.facet_order, cls.representative)
-                },
+                "labels": dict(zip(result.facet_order, cls.representative)),
                 "size": cls.size,
             }
             for cls in result.classes
@@ -344,6 +344,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
+    except OSError as exc:
+        # An input that cannot be read, or --output that cannot be written.
+        # The report goes to --output when it can, and to stdout once.
+        report = _error_report(args.command, "io", exc)
+        try:
+            _emit(report, args.output)
+        except OSError:
+            _emit(report, None)
+        return 2
     except Exception as exc:  # last resort: keep the JSON-report contract
         report = _error_report(args.command, "internal", exc)
         report["error"]["exception"] = type(exc).__name__

@@ -3,14 +3,24 @@
 Canonical serialization is sorted keys, two-space indent, LF newlines,
 UTF-8, and a single trailing newline; byte-identical output is part of the
 determinism contract, so nothing here may depend on dict iteration order.
+
+``canonical_json`` writes that text with a writer of its own, equal byte
+for byte to ``json.dumps(obj, sort_keys=True, indent=2,
+ensure_ascii=False)`` plus the newline; ``tests/oracles.py`` keeps that call
+as ``canonical_json_reference``.  Within one call the writer memoises, per
+indent depth, the text of each flat list of ints and of each
+``"key": [ints]`` entry, since census reports repeat a few label vectors
+thousands of times.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _encode_str
 from typing import Any, Optional
 
 from .charpair import Attestations, CharacteristicPair, CharPairError
@@ -37,7 +47,159 @@ class ParsedDocument:
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of a JSON value, with one trailing newline.
+
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"``, errors included; ``tests/oracles.py``
+    keeps that call as ``canonical_json_reference``.  ``json.dumps`` runs
+    its pure-Python encoder whenever ``indent`` is set, so this writer lays
+    out the containers itself and leaves every string to the C encoder.
+    Within one call it memoises, per indent depth, the text of each flat
+    list of ints and of each ``"key": [ints]`` entry, keyed by the list's
+    identity: census reports repeat a few label vectors thousands of times.
+    """
+    return _Writer().value(obj, 0) + "\n"
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key: Any) -> str:
+    """The quoted text of a dict key, converted as ``json`` converts it."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+class _Writer:
+    """One ``canonical_json`` call: its memos and its open containers.
+
+    A list's identity is a safe memo key because every list met is
+    reachable from the value being written, so none is freed, and no id
+    reused, before the call returns.
+    """
+
+    __slots__ = ("flat", "entries", "open")
+
+    def __init__(self) -> None:
+        self.flat: dict[tuple[int, int], str] = {}  # (id, depth) -> text
+        self.entries: dict[tuple[str, int, int], str] = {}  # (key, id, depth)
+        self.open: set[int] = set()  # ids of the containers being written
+
+    def value(self, o: Any, depth: int) -> str:
+        t = type(o)
+        if t is str:
+            return _encode_str(o)
+        if t is int:
+            return int.__repr__(o)
+        if t is dict:
+            return self.object(o, depth)
+        if t is list or t is tuple:
+            return self.array(o, depth)
+        if t is float:
+            return _float_text(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        # Subclasses, tested in json's order.
+        if isinstance(o, str):
+            return _encode_str(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        if isinstance(o, (list, tuple)):
+            return self.array(o, depth)
+        if isinstance(o, dict):
+            return self.object(o, depth)
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    def flat_ints(self, lst: Any, depth: int) -> Optional[str]:
+        """The text of a non-empty list of exact ints, else None."""
+        key = (id(lst), depth)
+        text = self.flat.get(key)
+        if text is None:
+            for x in lst:
+                if type(x) is not int:
+                    return None
+            inner = "\n" + "  " * (depth + 1)
+            text = self.flat[key] = (
+                "[" + inner + ("," + inner).join(map(int.__repr__, lst)) + inner[:-2] + "]"
+            )
+        return text
+
+    def enter(self, container: Any) -> int:
+        marker = id(container)
+        if marker in self.open:
+            raise ValueError("Circular reference detected")
+        self.open.add(marker)
+        return marker
+
+    def array(self, lst: Any, depth: int) -> str:
+        if not lst:
+            return "[]"
+        text = self.flat_ints(lst, depth)
+        if text is not None:
+            return text
+        marker = self.enter(lst)
+        inner = "\n" + "  " * (depth + 1)
+        value, d = self.value, depth + 1
+        text = "[" + inner + ("," + inner).join([value(x, d) for x in lst]) + inner[:-2] + "]"
+        self.open.discard(marker)
+        return text
+
+    def object(self, dct: dict, depth: int) -> str:
+        if not dct:
+            return "{}"
+        marker = self.enter(dct)
+        d = depth + 1
+        entries, value = self.entries, self.value
+        parts = []
+        for key, v in sorted(dct.items()):
+            if type(key) is not str:
+                parts.append(_key_text(key) + ": " + value(v, d))
+                continue
+            t = type(v)
+            if (t is list or t is tuple) and v:
+                memo = (key, id(v), d)
+                entry = entries.get(memo)
+                if entry is None:
+                    text = self.flat_ints(v, d)
+                    if text is None:
+                        entry = _encode_str(key) + ": " + self.array(v, d)
+                    else:
+                        entry = entries[memo] = _encode_str(key) + ": " + text
+                parts.append(entry)
+            else:
+                parts.append(_encode_str(key) + ": " + value(v, d))
+        inner = "\n" + "  " * d
+        self.open.discard(marker)
+        return "{" + inner + ("," + inner).join(parts) + inner[:-2] + "}"
 
 
 _DOCUMENT_KEYS = frozenset({"k", "dim_orbit", "faces", "covers", "lambda", "attestations"})
@@ -182,14 +344,30 @@ def validity_to_object(report: ValidityReport) -> list[dict]:
 
 
 def write_atomic(path: str, content: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename.
+
+    The file gets the mode that ``open(path, "w")`` would give it: a file
+    being replaced keeps its mode, and a new one gets ``0o666`` less the
+    umask (``mkstemp`` alone would make it 0600).  A failure leaves no temp
+    file behind, and its ``OSError`` names ``path``, not the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lstorus-", suffix=".tmp")
+    tmp = None
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lstorus-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(content)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

@@ -6,16 +6,18 @@ membership, sympy's normal forms, and a term-by-term evaluator of the chart
 formulas.  Keep it that way; these functions are
 the other side of every dual-route check in the test suite.
 
-Two are the plain forms of faster kernels, which must match them exactly:
+Three are the plain forms of faster kernels, which must match them exactly:
 ``enumerate_labelings_reference`` tests every candidate label against every
-face it completes, and ``gl_sign_normal_form_reference`` runs a fresh Hermite
-reduction for every pivot-column flip.
+face it completes, ``gl_sign_normal_form_reference`` runs a fresh Hermite
+reduction for every pivot-column flip, and ``canonical_json_reference`` is
+the ``json.dumps`` call that ``documents.canonical_json`` replaces.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
 from fractions import Fraction
 from math import gcd
@@ -27,6 +29,11 @@ from sympy.matrices.normalforms import hermite_normal_form
 from lstorus.census import primitive_vectors_in_box
 from lstorus.lattice import hnf, is_direct_summand
 from lstorus.localmodel import LocalModelError, ModelPoint, XScaleLayer, YShearLayer
+
+
+def canonical_json_reference(obj) -> str:
+    """The canonical report text as the standard library writes it."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def det_permutation(m: Sequence[Sequence[int]]) -> int:

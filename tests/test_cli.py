@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -554,12 +555,11 @@ def test_roundtrip_parse_serialize_parse():
         doc = parse_document(text)
         if doc.pair is None:
             again = serialize_poset(doc.poset, doc.k)
-            assert parse_document(again).poset.ids() == doc.poset.ids()
-            assert parse_document(serialize_poset(parse_document(again).poset, doc.k)).poset.covers() == doc.poset.covers()
+            assert serialize_poset(parse_document(again).poset, doc.k) == again
         else:
             again = serialize_pair(doc.pair)
             assert serialize_pair(parse_pair(again)) == again
-            assert again == text  # fixtures are canonically serialized
+        assert again == text, path.name  # fixtures are canonically serialized
 
 
 def test_parse_rejects_unknown_keys():
@@ -635,3 +635,94 @@ def test_validate_reports_do_not_depend_on_the_hash_seed(tmp_path):
         assert faces == sorted(faces), name
     report = json.loads(outputs.pop())
     assert report["error"]["message"] == "attestation sections_exist must be a boolean"
+
+
+# One valid command line per subcommand, each with a report to write.
+_COMMANDS = {
+    "validate": ["validate", str(FIXTURES / "cp1.json")],
+    "iso": ["iso", str(FIXTURES / "cp1.json"), str(FIXTURES / "cp1.json")],
+    "canon": ["canon", str(FIXTURES / "cp1.json")],
+    "census": ["census", "--poset", str(FIXTURES / "simplex2.json"), "--k", "2", "--bound", "1"],
+    "localcheck": ["localcheck", "--n", "1", "--k", "2", "--m", "1", "--samples", "5"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_failed_output_write_prints_one_io_report(capsys, tmp_path, command, target):
+    if target == "missing-directory":
+        output = tmp_path / "absent" / "out.json"
+    else:
+        output = tmp_path / "out.json"
+        output.mkdir()
+    code = main(_COMMANDS[command] + ["--output", str(output)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)  # exactly one JSON document
+    assert report["command"] == command
+    assert report["error"]["type"] == "io"
+    assert str(output) in report["error"]["message"]
+    # No temp file is left beside the target.
+    assert [p.name for p in tmp_path.iterdir()] == ([] if target == "missing-directory" else ["out.json"])
+    assert not output.is_file()
+
+
+def test_output_file_mode_follows_the_umask_and_a_replaced_file_keeps_its_mode(capsys, tmp_path):
+    argv = _COMMANDS["validate"]
+
+    def mode(path):
+        return stat.S_IMODE(path.stat().st_mode)
+
+    old = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077, 0o002):
+            os.umask(umask)
+            plain = tmp_path / f"plain-{umask:o}.json"
+            with open(plain, "w", encoding="utf-8"):
+                pass
+            written = tmp_path / f"written-{umask:o}.json"
+            assert main(argv + ["--output", str(written)]) == 0
+            assert mode(written) == mode(plain) == 0o666 & ~umask
+        # A replaced file keeps its mode, whatever the umask.
+        existing = tmp_path / "existing.json"
+        for kept in (0o600, 0o664):
+            existing.write_text("old", encoding="utf-8")
+            existing.chmod(kept)
+            os.umask(0o077 if kept == 0o664 else 0o002)
+            assert main(argv + ["--output", str(existing)]) == 0
+            assert mode(existing) == kept
+            assert existing.read_text(encoding="utf-8") != "old"
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+
+
+_READERS = {
+    "validate": lambda path: ["validate", path],
+    "iso-first": lambda path: ["iso", path, str(FIXTURES / "cp1.json")],
+    "iso-second": lambda path: ["iso", str(FIXTURES / "cp1.json"), path],
+    "canon": lambda path: ["canon", path],
+    "census": lambda path: ["census", "--poset", path, "--k", "2", "--bound", "1"],
+}
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_read_errors_have_one_type_on_every_subcommand(capsys, tmp_path, reader, bad):
+    path = tmp_path / "input.json"
+    if bad == "directory":
+        path.mkdir()
+    elif bad == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "report.json"
+    code = main(_READERS[reader](str(path)) + ["--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["command"] == reader.partition("-")[0]
+    assert report["error"]["type"] == ("document" if bad == "not-utf8" else "io")
+    assert str(path) in report["error"]["message"]
+    # The report also goes to --output, which can be written.
+    assert out.read_text(encoding="utf-8") == captured.out
