@@ -20,9 +20,15 @@ which is found once per census, lazily, by the isomorphism search of
 ``classify`` on the bare poset.  A strong class is one Aut(P)-orbit of
 labelings.  A weak class joins the strong classes whose labelings share a
 GL(k, Z) x sign normal form (``lattice.gl_sign_normal_form``) after some
-automorphism, so the orbit's least form is its key.  There is no bound on
-the poset's size; the work grows with |Aut(P)| times the number of strong
-classes, and the search stops once every labeling has a class.
+automorphism, so the orbit's least form is its key.  Signed permutations
+of the k coordinates permute the strong orbits and keep their keys, so the
+orbits they join form one component and the key is computed once per
+component, on its smallest orbit.  There is no bound on the poset's size;
+the orbit search grows with |Aut(P)| times the number of strong classes and
+stops once every labeling has a class.  The weak keys cost one normal form
+per member of the smallest orbit of each component: on the stock posets
+that is 27-37% of the labelings at k = 2 and 6-8% at k = 3, where there are
+48 signed permutations instead of 8.
 """
 
 from __future__ import annotations
@@ -36,7 +42,13 @@ from typing import Callable, Iterator, Optional
 from .charpair import CharacteristicPair
 from .classify import poset_automorphisms
 from .faceposet import FacePoset
-from .lattice import Matrix, PrimitiveVector, gl_sign_normal_form, is_direct_summand
+from .lattice import (
+    Matrix,
+    PrimitiveVector,
+    canonical_sign,
+    gl_sign_normal_form,
+    is_direct_summand,
+)
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -291,11 +303,18 @@ def _deduplicate(
     """Group labelings into classes via the poset's automorphism group.
 
     The strong class of L is its Aut(P)-orbit {L o sigma}: automorphisms keep
-    the label box and validity, so every image is itself a labeling.  A weak
-    class is a union of strong classes, keyed by the least GL(k, Z) x sign
-    normal form of a member's k x n label matrix.  Permutations are drawn
-    from ``automorphisms`` only as needed and reused for later orbits; once
-    every labeling has a class the rest of the group is never generated.
+    the label box and validity, so every image is itself a labeling.
+    Permutations are drawn from ``automorphisms`` only as needed and reused
+    for later orbits; once every labeling has a class the rest of the group
+    is never generated.
+
+    A weak class is a union of strong classes, keyed by the least GL(k, Z) x
+    sign normal form of a member's k x n label matrix.  A signed permutation
+    of the k coordinates, followed by ``canonical_sign``, maps the census
+    onto itself and commutes with Aut(P), so it permutes the strong orbits,
+    and two orbits it joins have the same member forms and the same key.
+    The key is therefore computed once per component that these joins make
+    (``_weak_groups``), not once per orbit.
     """
     if dedup == "none":
         return tuple(CensusClass(lab, 1) for lab in labelings)
@@ -312,11 +331,11 @@ def _deduplicate(
 
     orbit_of: dict[Labeling, Optional[int]] = dict.fromkeys(labelings)
     unassigned = len(labelings)
-    weak: dict[Matrix, list] = {}  # normal form -> [representative, size]
-    classes: list[CensusClass] = []
-    for index, lab in enumerate(labelings):
+    orbits: list[list[Labeling]] = []
+    for lab in labelings:
         if orbit_of[lab] is not None:
             continue
+        index = len(orbits)
         orbit: list[Labeling] = []
         for move in group_elements():
             image = move(lab)
@@ -335,13 +354,57 @@ def _deduplicate(
                 )
         if orbit_of[lab] != index:
             raise RuntimeError("internal: a labeling is missing from its own orbit")
-        rep = min(orbit)
-        if dedup == "strong":
-            classes.append(CensusClass(rep, len(orbit)))
-            continue
-        key = min(gl_sign_normal_form(tuple(zip(*member))) for member in orbit)
-        entry = weak.setdefault(key, [rep, 0])
-        entry[0] = min(entry[0], rep)
-        entry[1] += len(orbit)
-    classes.extend(CensusClass(rep, size) for rep, size in weak.values())
+        orbits.append(orbit)
+    if dedup == "strong":
+        groups = [[orbit] for orbit in orbits]
+    else:
+        groups = _weak_groups(orbits, orbit_of)
+    classes = [CensusClass(min(map(min, g)), sum(map(len, g))) for g in groups]
     return tuple(sorted(classes, key=lambda c: c.representative))
+
+
+def _weak_groups(
+    orbits: list[list[Labeling]], orbit_of: dict[Labeling, Optional[int]]
+) -> list[list[list[Labeling]]]:
+    """The strong orbits grouped by weak class, in order of first orbit.
+
+    A union-find joins orbits along the generators of the signed coordinate
+    permutations (negate the first coordinate; swap two neighbours), each
+    applied label by label to an orbit's first member; the normal form then
+    runs only on the smallest orbit of each component.  An image that is no
+    census labeling joins nothing: joining only saves work, so the groups
+    stay exact even on a set of labelings that those permutations do not
+    map onto itself.
+    """
+    # The root of a component is its least orbit index.
+    parent = list(range(len(orbits)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    labels = {x for orbit in orbits for x in orbit[0]}
+    k = len(next(iter(labels), ()))
+    moves = [lambda v: (-v[0],) + v[1:]] + [
+        lambda v, i=i: v[:i] + (v[i + 1], v[i]) + v[i + 2 :] for i in range(k - 1)
+    ]
+    for move in moves:
+        image_of = {x: canonical_sign(move(x)) for x in labels}
+        for i, orbit in enumerate(orbits):
+            j = orbit_of.get(tuple(image_of[x] for x in orbit[0]))
+            if j is not None:
+                a, b = root(i), root(j)
+                parent[max(a, b)] = min(a, b)
+
+    components: dict[int, list[list[Labeling]]] = {}
+    for i, orbit in enumerate(orbits):
+        components.setdefault(root(i), []).append(orbit)
+    weak: dict[Matrix, list[list[Labeling]]] = {}
+    for members in components.values():
+        smallest = min(members, key=len)
+        key = ()  # the one labeling of a facet-free poset has no matrix
+        if smallest[0]:
+            key = min(gl_sign_normal_form(tuple(zip(*lab))) for lab in smallest)
+        weak.setdefault(key, []).extend(members)
+    return list(weak.values())

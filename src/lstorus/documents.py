@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 import tempfile
 from dataclasses import dataclass
@@ -204,6 +205,7 @@ class _Writer:
 
 _DOCUMENT_KEYS = frozenset({"k", "dim_orbit", "faces", "covers", "lambda", "attestations"})
 _FACE_KEYS = frozenset({"id", "codim"})
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def parse_document(text: str) -> ParsedDocument:
@@ -243,6 +245,10 @@ def parse_document(text: str) -> ParsedDocument:
         fid, codim = entry["id"], entry["codim"]
         if type(fid) is not str:
             raise DocumentError(f"faces[{i}].id must be a string")
+        if _SURROGATE.search(fid):
+            raise DocumentError(
+                f"faces[{i}].id has a lone surrogate, which no UTF-8 report can carry"
+            )
         if type(codim) is not int:
             raise DocumentError(f"faces[{i}].codim must be an integer")
         faces.append((fid, codim))

@@ -6,11 +6,13 @@ membership, sympy's normal forms, and a term-by-term evaluator of the chart
 formulas.  Keep it that way; these functions are
 the other side of every dual-route check in the test suite.
 
-Three are the plain forms of faster kernels, which must match them exactly:
+Four are the plain forms of faster kernels, which must match them exactly:
 ``enumerate_labelings_reference`` tests every candidate label against every
 face it completes, ``gl_sign_normal_form_reference`` runs a fresh Hermite
-reduction for every pivot-column flip, and ``canonical_json_reference`` is
-the ``json.dumps`` call that ``documents.canonical_json`` replaces.
+reduction for every pivot-column flip, ``deduplicate_reference`` computes
+the weak key on every member of every strong orbit, and
+``canonical_json_reference`` is the ``json.dumps`` call that
+``documents.canonical_json`` replaces.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import Optional, Sequence
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from lstorus.census import primitive_vectors_in_box
-from lstorus.lattice import hnf, is_direct_summand
+from lstorus.census import CensusClass, primitive_vectors_in_box
+from lstorus.lattice import gl_sign_normal_form, hnf, is_direct_summand
 from lstorus.localmodel import LocalModelError, ModelPoint, XScaleLayer, YShearLayer
 
 
@@ -306,6 +308,40 @@ def enumerate_labelings_reference(spec) -> list[tuple]:
             else:
                 i += 1
     return out
+
+
+def deduplicate_reference(dedup: str, labelings, automorphisms) -> tuple:
+    """``census._deduplicate`` with the weak key taken over every member.
+
+    The strong class of a labeling is the set of its images under every
+    facet permutation in ``automorphisms``.  A weak class joins the strong
+    classes whose members' least ``gl_sign_normal_form`` agree; the form of
+    every member of every orbit is computed.  Classes come sorted by their
+    least member.
+    """
+    if dedup == "none":
+        return tuple(CensusClass(lab, 1) for lab in labelings)
+    group = list(automorphisms)
+    seen: set = set()
+    classes: dict = {}  # key -> [least member, size]
+    for lab in labelings:
+        if lab in seen:
+            continue
+        orbit = {tuple(lab[p] for p in perm) for perm in group}
+        seen |= orbit
+        if dedup == "strong":
+            key = min(orbit)
+        elif lab:
+            key = min(gl_sign_normal_form(tuple(zip(*m))) for m in orbit)
+        else:
+            key = ()
+        entry = classes.setdefault(key, [min(orbit), 0])
+        entry[0] = min(entry[0], min(orbit))
+        entry[1] += len(orbit)
+    return tuple(
+        sorted((CensusClass(rep, size) for rep, size in classes.values()),
+               key=lambda c: c.representative)
+    )
 
 
 def exhaustive_pair_equivalent(a, b, mode: str) -> bool:

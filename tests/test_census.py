@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lstorus import census
 from lstorus.census import (
     BudgetExceededError,
     CensusClass,
@@ -32,6 +33,7 @@ from lstorus.fixtures import (
 from oracles import (
     census_bruteforce,
     census_classes_pairwise,
+    deduplicate_reference,
     enumerate_labelings_reference,
 )
 
@@ -182,6 +184,86 @@ def test_census_classes_match_references(name, k, bound, dedup):
     assert got == _classes_by_canonical_form(spec, result, labelings)
 
 
+def _automorphisms(poset):
+    from lstorus.census import _facet_permutations
+
+    facets = tuple(f for f in poset.linear_extension() if poset.codim(f) == 1)
+    return list(_facet_permutations(poset, facets))
+
+
+@pytest.mark.parametrize("dedup", ["strong", "weak"])
+@pytest.mark.parametrize(
+    "poset,k,bound",
+    [
+        # The weak settings of the benchmark's census-dedup workload.
+        (square_poset(), 2, 3),
+        (pentagon_poset(), 2, 2),
+        (polygon_poset(6), 2, 1),
+        (triangle_poset(), 3, 1),
+        # Larger or other shapes: the square with k = 3 has 13,338 labelings.
+        (polygon_poset(6), 2, 2),
+        (square_poset(), 3, 1),
+        (simplex_poset(3), 3, 1),
+        (_star_poset(6), 2, 1),
+        (_star_poset(5), 1, 3),
+        (FacePoset([("T", 0)], [], 3), 2, 1),
+    ],
+    ids=[
+        "square-B3", "pentagon-B2", "hexagon-B1", "triangle-k3", "hexagon-B2",
+        "square-k3", "simplex3", "star6", "star5-k1", "no-facets",
+    ],
+)
+def test_deduplicate_matches_reference(poset, k, bound, dedup):
+    # Same classes, representatives, sizes and order as keying every member
+    # of every strong orbit.
+    from lstorus.census import _deduplicate
+
+    labelings = enumerate_labelings(CensusSpec(poset, k, bound))
+    group = _automorphisms(poset)
+    got = _deduplicate(dedup, labelings, iter(group))
+    assert got == deduplicate_reference(dedup, labelings, group)
+    assert sum(c.size for c in got) == len(labelings)
+
+
+def test_weak_dedup_on_labelings_not_closed_under_coordinate_permutations():
+    # Automorphisms keep the label multiset, so the labelings that use (1, 1)
+    # are a union of strong orbits; swapping the coordinates or negating one
+    # moves some of them out of the set, and such an image joins nothing.
+    from lstorus.census import _deduplicate
+
+    spec = CensusSpec(square_poset(), 2, 2)
+    labelings = [lab for lab in enumerate_labelings(spec) if (1, 1) in lab]
+    group = _automorphisms(spec.poset)
+    got = _deduplicate("weak", labelings, iter(group))
+    assert got == deduplicate_reference("weak", labelings, group)
+    assert len(got) > 1
+
+
+def test_weak_census_keys_a_fraction_of_its_labelings(monkeypatch):
+    # Strong orbits that a signed coordinate permutation joins share a weak
+    # key, so the normal form runs on one orbit per joined component.
+    calls = []
+    normal_form = census.gl_sign_normal_form
+    monkeypatch.setattr(
+        census, "gl_sign_normal_form", lambda m: calls.append(m) or normal_form(m)
+    )
+    result = enumerate_census(CensusSpec(triangle_poset(), 3, 1, dedup="weak"))
+    assert result.total_valid == 1170
+    assert [c.size for c in result.classes] == [132, 870, 96, 72]
+    assert 0 < len(calls) <= result.total_valid // 10
+
+
+def test_weak_census_cube3_known_answer():
+    result = enumerate_census(CensusSpec(cube_poset(3), 3, 1, dedup="weak"))
+    assert result.total_valid == 88926
+    assert len(result.classes) == 44
+    assert Counter(c.size for c in result.classes) == {
+        144: 2, 288: 6, 360: 1, 432: 2, 576: 1, 720: 2, 864: 5, 870: 1, 936: 1,
+        1152: 1, 1440: 1, 1512: 2, 1728: 2, 1872: 2, 2304: 5, 2880: 1, 3744: 4,
+        4608: 2, 5400: 1, 9216: 1, 11520: 1,
+    }
+
+
 def test_census_star_strong_classes_are_label_multisets():
     # Every facet permutation is an automorphism of the star and every
     # labeling is valid, so a strong class is a multiset of 6 labels from a
@@ -228,9 +310,10 @@ def test_census_dedup_stops_once_every_labeling_has_a_class(dedup):
 
 def test_census_facet_free_poset():
     poset = FacePoset([("T", 0)], [], 3)
-    result = enumerate_census(CensusSpec(poset=poset, k=2, entry_bound=1))
-    assert result.total_valid == 1
-    assert result.classes[0].representative == ()
+    for dedup in ("none", "strong", "weak"):
+        result = enumerate_census(CensusSpec(poset, 2, 1, dedup=dedup))
+        assert result.total_valid == 1
+        assert result.classes == (CensusClass((), 1),), dedup
 
 
 def test_census_dedup_quotient_inequalities():
@@ -277,11 +360,13 @@ def test_census_dedup_idempotent():
 def test_census_result_independent_of_hash_seed():
     # Fresh interpreters under two hash seeds: a census that leaned on set or
     # dict order of hashed strings would differ between them.  The hexagon's
-    # edge ids iterate in different orders under these two seeds.
+    # edge ids iterate in different orders under these two seeds.  The
+    # triangle with k = 3 joins strong orbits across coordinate permutations.
     code = (
         "from lstorus.census import CensusSpec, enumerate_census\n"
-        "from lstorus.fixtures import polygon_poset\n"
+        "from lstorus.fixtures import polygon_poset, triangle_poset\n"
         "print(repr(enumerate_census(CensusSpec(polygon_poset(6), 2, 1, dedup='weak'))))\n"
+        "print(repr(enumerate_census(CensusSpec(triangle_poset(), 3, 1, dedup='weak'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     outs = [
@@ -294,7 +379,9 @@ def test_census_result_independent_of_hash_seed():
         for seed in ("0", "1")
     ]
     assert outs[0] == outs[1]
-    assert outs[0].startswith(b"CensusResult(total_valid=298,")
+    hexagon, triangle = outs[0].splitlines()
+    assert hexagon.startswith(b"CensusResult(total_valid=298,")
+    assert triangle.startswith(b"CensusResult(total_valid=1170,")
 
 
 def test_census_budget_guard():

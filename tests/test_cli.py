@@ -726,3 +726,23 @@ def test_read_errors_have_one_type_on_every_subcommand(capsys, tmp_path, reader,
     assert str(path) in report["error"]["message"]
     # The report also goes to --output, which can be written.
     assert out.read_text(encoding="utf-8") == captured.out
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_face_id_with_a_lone_surrogate_is_a_document_error(capsys, tmp_path, reader):
+    # "\ud800" is valid JSON but no UTF-8 text, so no report could name the
+    # face: the id is refused where the document is parsed.
+    doc = {
+        "k": 2,
+        "dim_orbit": 1,
+        "faces": [{"id": "T", "codim": 0}, {"id": "\ud800", "codim": 1}],
+        "covers": [["\ud800", "T"]],
+        "lambda": {"\ud800": [1, 0]},
+    }
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report = run_cli(capsys, *_READERS[reader](str(path)))
+    assert code == 2
+    assert report["command"] == reader.partition("-")[0]
+    assert report["error"]["type"] == "document"
+    assert "faces[1].id" in report["error"]["message"]
