@@ -62,6 +62,10 @@ CENSUS = [
     ("pentagon", 2, 2),
     ("hexagon", 2, 1),
     ("triangle", 3, 1),
+    # k above the orbit dimension, and a census with no labeling at all.
+    ("square", 3, 1),
+    ("triangle", 4, 1),
+    ("square", 1, 2),
 ]
 # (poset, k, B) settings whose census the default budget refuses.  The box
 # holds 25^4 points, so listing it before the refusal takes visible time.

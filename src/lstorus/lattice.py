@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
 Row = tuple[int, ...]
 Matrix = tuple[Row, ...]
@@ -56,22 +57,29 @@ def _is_frozen(rows) -> bool:
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     """Validate and freeze a rectangular integer matrix with positive dims.
 
-    A matrix that is frozen already is returned as it is."""
+    A matrix that is frozen already is returned as it is.  Every malformed
+    input raises ``LatticeError``: rows or a row that is not a sequence, no
+    rows or no columns, ragged rows, and any entry that is not an ``int``
+    (``bool`` included)."""
     if _is_frozen(rows):
         return rows
-    m = tuple(tuple(int(x) for x in row) for row in rows)
-    if not m:
+    if not isinstance(rows, Sequence) or isinstance(rows, str):
+        raise LatticeError(f"matrix is not a sequence of rows: {rows!r}")
+    if not rows:
         raise LatticeError("matrix needs at least one row")
-    width = len(m[0])
+    for i, row in enumerate(rows):
+        if not isinstance(row, Sequence) or isinstance(row, str):
+            raise LatticeError(f"row {i} is not a sequence: {row!r}")
+    width = len(rows[0])
     if width == 0:
         raise LatticeError("matrix needs at least one column")
-    if any(len(row) != width for row in m):
+    if any(len(row) != width for row in rows):
         raise LatticeError("ragged rows")
-    for row, orig in zip(m, rows):
-        for x, y in zip(row, orig):
-            if not isinstance(y, int) or isinstance(y, bool):
-                raise LatticeError(f"non-integer entry {y!r}")
-    return m
+    for row in rows:
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise LatticeError(f"non-integer entry {x!r}")
+    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 def identity(k: int) -> Matrix:
@@ -88,10 +96,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def det_int(m: Matrix) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of a square integer matrix (fraction-free Bareiss).
+
+    The 0 x 0 matrix ``()`` has determinant 1, the empty product."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise LatticeError("determinant needs a square matrix")
+    if not n:
+        return 1
     a = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -113,39 +125,60 @@ def det_int(m: Matrix) -> int:
 
 
 def _hnf_rows(m: Matrix, carry: Optional[list[list[int]]] = None) -> list[list[int]]:
-    """Row-reduce to Hermite form in place semantics, mirroring ops on carry."""
+    """Row-reduce to Hermite form in place semantics, mirroring ops on carry.
+
+    In each column, Euclidean descent on the rows from r down: the pivot is
+    the row of least nonzero |entry| (the lowest index on ties), and every
+    row below with a nonzero entry there is reduced by it, until the pivot
+    is the only one left.  The pivot is then made positive and the entries
+    above it reduced into [0, pivot).
+    """
     rows = [list(r) for r in m]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     r = 0
     for c in range(ncols):
-        # Euclidean descent in column c on rows r..end.
         while True:
-            live = [i for i in range(r, nrows) if rows[i][c] != 0]
-            if not live:
+            piv = -1
+            least = 0
+            for i in range(r, nrows):
+                e = rows[i][c]
+                if e:
+                    if e < 0:
+                        e = -e
+                    if piv < 0 or e < least:
+                        piv, least = i, e
+            if piv < 0:
                 break
-            piv = min(live, key=lambda i: (abs(rows[i][c]), i))
             if piv != r:
                 rows[r], rows[piv] = rows[piv], rows[r]
                 if carry is not None:
                     carry[r], carry[piv] = carry[piv], carry[r]
-            if all(rows[i][c] == 0 for i in range(r + 1, nrows)):
-                break
+            pivot_row = rows[r]
+            p = pivot_row[c]
+            remainders = False
             for i in range(r + 1, nrows):
-                if rows[i][c]:
-                    q = rows[i][c] // rows[r][c]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                e = rows[i][c]
+                if e:
+                    q = e // p
+                    rows[i] = row = [x - q * y for x, y in zip(rows[i], pivot_row)]
                     if carry is not None:
                         carry[i] = [x - q * y for x, y in zip(carry[i], carry[r])]
-        if r < nrows and rows[r][c] != 0:
-            if rows[r][c] < 0:
-                rows[r] = [-x for x in rows[r]]
+                    if row[c]:
+                        remainders = True
+            if not remainders:
+                break
+        if r < nrows and rows[r][c]:
+            pivot_row = rows[r]
+            if pivot_row[c] < 0:
+                rows[r] = pivot_row = [-x for x in pivot_row]
                 if carry is not None:
                     carry[r] = [-x for x in carry[r]]
+            p = pivot_row[c]
             for i in range(r):
-                q = rows[i][c] // rows[r][c]
+                q = rows[i][c] // p
                 if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], pivot_row)]
                     if carry is not None:
                         carry[i] = [x - q * y for x, y in zip(carry[i], carry[r])]
             r += 1
@@ -173,10 +206,6 @@ def hnf_basis(m: Matrix) -> Matrix:
     return tuple(row for row in hnf(m) if any(row))
 
 
-def rank_int(m: Matrix) -> int:
-    return len(hnf_basis(m))
-
-
 def gl_sign_normal_form(m: Matrix) -> Matrix:
     """Canonical member of {A @ m @ D : A in GL(k, Z), D diagonal +-1}.
 
@@ -187,11 +216,12 @@ def gl_sign_normal_form(m: Matrix) -> Matrix:
     column is the row operation -I, so the first pivot column stays as it is
     and 2^(rank-1) flips suffice.
 
-    The HNF is computed once.  A flip of pivot columns keeps it in echelon
-    form with the same pivots, so the HNF of the flipped matrix comes from
-    one sweep, pivots left to right: negate the row if its pivot became
-    negative, then reduce the entries above the pivot into [0, pivot).  The
-    HNF is unique, so this is what a fresh reduction would give.
+    The HNF is computed once, and is the all-plus pattern as it stands.  A
+    flip of pivot columns keeps it in echelon form with the same pivots, so
+    the HNF of the flipped matrix comes from one sweep, pivots left to
+    right: negate the row if its pivot became negative, then reduce the
+    entries above the pivot into [0, pivot).  The HNF is unique, so this is
+    what a fresh reduction would give.
     """
     h = _hnf_rows(as_matrix(m))
     pivots = [next(j for j, x in enumerate(row) if x) for row in h if any(row)]
@@ -199,25 +229,30 @@ def gl_sign_normal_form(m: Matrix) -> Matrix:
     best = None
     for signs in itertools.product((1, -1), repeat=max(len(pivots) - 1, 0)):
         rows = [list(row) for row in h]
-        for c, sign in zip(pivots[1:], signs):
-            if sign < 0:
-                for row in rows:
-                    row[c] = -row[c]
-        for r, c in enumerate(pivots):
-            pivot_row = rows[r]
-            if pivot_row[c] < 0:
-                pivot_row = rows[r] = [-x for x in pivot_row]
-            p = pivot_row[c]
-            for i in range(r):
-                q = rows[i][c] // p
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], pivot_row)]
+        if -1 in signs:
+            for c, sign in zip(pivots[1:], signs):
+                if sign < 0:
+                    for row in rows:
+                        row[c] = -row[c]
+            for r, c in enumerate(pivots):
+                pivot_row = rows[r]
+                if pivot_row[c] < 0:
+                    pivot_row = rows[r] = [-x for x in pivot_row]
+                p = pivot_row[c]
+                for i in range(r):
+                    q = rows[i][c] // p
+                    if q:
+                        rows[i] = [x - q * y for x, y in zip(rows[i], pivot_row)]
         for j in free:
-            lead = next((row[j] for row in rows if row[j]), 0)
+            lead = 0
+            for row in rows:
+                lead = row[j]
+                if lead:
+                    break
             if lead < 0:
                 for row in rows:
                     row[j] = -row[j]
-        form = tuple(tuple(row) for row in rows)
+        form = tuple(map(tuple, rows))
         if best is None or form < best:
             best = form
     return best
@@ -306,6 +341,40 @@ def is_direct_summand(m: Matrix) -> bool:
     return _is_unit_block(_hnf_rows(transpose(m)))
 
 
+def summand_extension_mask(rows: Sequence[Row], vectors: Sequence[Row]) -> int:
+    """Bitmask of the vectors v for which rows + [v] span a direct summand.
+
+    Rows and vectors lie in Z^k.  Bit j is set exactly when
+    ``is_direct_summand(rows + [vectors[j]])`` holds; k or more rows leave
+    room for no v.  One Hermite reduction serves every v: with
+    U @ transpose(rows) == [I_r; 0] the rows span a rank-r summand, the last
+    k - r rows of U are coordinates on the quotient Z^k / span, and the rows
+    and v span a summand exactly when v's quotient coordinates have gcd 1.
+    When the rows span no summand, no v completes them.
+    """
+    if not vectors:
+        return 0
+    k = len(vectors[0])
+    r = len(rows)
+    if r >= k:
+        return 0
+    if r:
+        m = as_matrix(rows)
+        if len(m[0]) != k:
+            raise LatticeError("rows and vectors differ in length")
+        h, u = hnf_with_transform(transpose(m))
+        if not _is_unit_block(h):
+            return 0
+        quotient = u[r:]
+    else:
+        quotient = identity(k)
+    mask = 0
+    for j, v in enumerate(vectors):
+        if gcd(*[sum(a * b for a, b in zip(row, v)) for row in quotient]) == 1:
+            mask |= 1 << j
+    return mask
+
+
 def right_kernel_basis(m: Matrix) -> Matrix:
     """Basis rows of {x in Z^k : m @ x == 0}; always a saturated sublattice."""
     m = as_matrix(m)
@@ -318,7 +387,9 @@ class Subtorus:
     """A primitive (saturated) sublattice of Z^k in canonical Hermite basis.
 
     Encodes a subtorus of the k-torus; equality of canonical bases is
-    equality of subtori.  ``rank == 0`` encodes the trivial subtorus.
+    equality of subtori.  ``rank == 0`` encodes the trivial subtorus.  The
+    constructor raises ``LatticeError`` unless the basis is the nonzero rows
+    of a Hermite normal form (see ``hnf``) and spans a direct summand.
     """
 
     k: int
@@ -327,9 +398,17 @@ class Subtorus:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise LatticeError("ambient rank must be positive")
-        for row in self.basis:
-            if len(row) != self.k:
-                raise LatticeError("basis width differs from ambient rank")
+        if isinstance(self.basis, Sequence) and not self.basis:
+            object.__setattr__(self, "basis", ())
+            return
+        basis = as_matrix(self.basis)
+        if len(basis[0]) != self.k:
+            raise LatticeError("basis width differs from ambient rank")
+        if not _is_hermite_basis(basis):
+            raise LatticeError(f"basis {basis} is not a Hermite basis without zero rows")
+        if not is_direct_summand(basis):
+            raise LatticeError(f"basis {basis} spans a sublattice that is not saturated")
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def trivial(cls, k: int) -> "Subtorus":
@@ -345,6 +424,21 @@ class Subtorus:
 
     def contains_vector(self, v: Sequence[int]) -> bool:
         return span_contains_vector(self.basis, tuple(v))
+
+
+def _is_hermite_basis(rows: Matrix) -> bool:
+    """True when rows are the nonzero rows of a Hermite normal form: pivots
+    positive and strictly to the right row by row, every entry above a pivot
+    in [0, pivot).  A check of the shape, with no reduction."""
+    last = -1
+    for r, row in enumerate(rows):
+        c = next((j for j, x in enumerate(row) if x), -1)
+        if c <= last or row[c] < 0:
+            return False
+        if any(not 0 <= above[c] < row[c] for above in rows[:r]):
+            return False
+        last = c
+    return True
 
 
 def span_contains_vector(echelon_basis: Matrix, v: Row) -> bool:
@@ -391,10 +485,8 @@ def saturate(m: Matrix) -> Subtorus:
     if not ker:
         return Subtorus.full(k)
     sat = right_kernel_basis(ker)
-    basis = hnf_basis(sat)
-    if not is_direct_summand(basis):
-        raise RuntimeError("internal: saturation is not a direct summand")
-    return Subtorus(k=k, basis=basis)
+    # The constructor checks that the basis spans a direct summand.
+    return Subtorus(k=k, basis=hnf_basis(sat))
 
 
 def canonical_sign(v: Sequence[int]) -> Row:
@@ -558,11 +650,15 @@ def _solve_full_rank(
 
     With U @ S == H upper triangular, S @ M == D becomes H @ M == U @ D,
     solved by integer back-substitution; a remainder means no integral M.
+    If M solves the system so does -M, from the opposite signs, and of the
+    two the pattern that starts with -1 comes later in product order.  So
+    only the 2^(k-1) patterns that start with +1 are tried, and the first
+    solution found is the one the full 2^k enumeration finds first.
     """
     h, u = hnf_with_transform(tuple(s_rows[i] for i in j))
-    for signs in itertools.product((1, -1), repeat=k):
+    for rest in itertools.product((1, -1), repeat=k - 1):
         d_basis = tuple(
-            tuple(e * x for x in d_rows[i]) for e, i in zip(signs, j)
+            tuple(e * x for x in d_rows[i]) for e, i in zip((1,) + rest, j)
         )
         rhs = mat_mul(u, d_basis)
         m_row: list[Row] = [()] * k

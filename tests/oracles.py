@@ -6,13 +6,16 @@ membership, sympy's normal forms, and a term-by-term evaluator of the chart
 formulas.  Keep it that way; these functions are
 the other side of every dual-route check in the test suite.
 
-Four are the plain forms of faster kernels, which must match them exactly:
+Six are the plain forms of faster kernels, which must match them exactly:
 ``enumerate_labelings_reference`` tests every candidate label against every
 face it completes, ``gl_sign_normal_form_reference`` runs a fresh Hermite
 reduction for every pivot-column flip, ``deduplicate_reference`` computes
-the weak key on every member of every strong orbit, and
+the weak key on every member of every strong orbit,
 ``canonical_json_reference`` is the ``json.dumps`` call that
-``documents.canonical_json`` replaces.
+``documents.canonical_json`` replaces, and ``hnf_rows_reference`` and
+``solve_full_rank_reference`` are the earlier Hermite reduction and
+full-rank solver, kept as they were: a pivot search through ``min`` with a
+key per Euclidean step, and all 2^k sign patterns.
 """
 
 from __future__ import annotations
@@ -29,7 +32,15 @@ from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import hermite_normal_form
 
 from lstorus.census import CensusClass, primitive_vectors_in_box
-from lstorus.lattice import gl_sign_normal_form, hnf, is_direct_summand
+from lstorus.lattice import (
+    _maps_all,
+    det_int,
+    gl_sign_normal_form,
+    hnf,
+    identity,
+    is_direct_summand,
+    mat_mul,
+)
 from lstorus.localmodel import LocalModelError, ModelPoint, XScaleLayer, YShearLayer
 
 
@@ -242,6 +253,80 @@ def gl_sign_normal_form_reference(m: Sequence[Sequence[int]]) -> tuple:
         if best is None or form < best:
             best = form
     return best
+
+
+def hnf_rows_reference(m, carry: Optional[list[list[int]]] = None) -> list[list[int]]:
+    """Row-reduce to Hermite form in place semantics, mirroring ops on carry."""
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(ncols):
+        # Euclidean descent in column c on rows r..end.
+        while True:
+            live = [i for i in range(r, nrows) if rows[i][c] != 0]
+            if not live:
+                break
+            piv = min(live, key=lambda i: (abs(rows[i][c]), i))
+            if piv != r:
+                rows[r], rows[piv] = rows[piv], rows[r]
+                if carry is not None:
+                    carry[r], carry[piv] = carry[piv], carry[r]
+            if all(rows[i][c] == 0 for i in range(r + 1, nrows)):
+                break
+            for i in range(r + 1, nrows):
+                if rows[i][c]:
+                    q = rows[i][c] // rows[r][c]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    if carry is not None:
+                        carry[i] = [x - q * y for x, y in zip(carry[i], carry[r])]
+        if r < nrows and rows[r][c] != 0:
+            if rows[r][c] < 0:
+                rows[r] = [-x for x in rows[r]]
+                if carry is not None:
+                    carry[r] = [-x for x in carry[r]]
+            for i in range(r):
+                q = rows[i][c] // rows[r][c]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    if carry is not None:
+                        carry[i] = [x - q * y for x, y in zip(carry[i], carry[r])]
+            r += 1
+            if r == nrows:
+                break
+    return rows
+
+
+def solve_full_rank_reference(s_rows, d_rows, j: list[int], k: int):
+    """Row-action matrix M with s_i @ M == +-d_i, via sign enumeration on a
+    rational basis S among the sources.
+
+    With U @ S == H upper triangular, S @ M == D becomes H @ M == U @ D,
+    solved by integer back-substitution; a remainder means no integral M.
+    The Hermite form with its transform comes from ``hnf_rows_reference``.
+    """
+    carry = [list(r) for r in identity(len(j))]
+    h = tuple(map(tuple, hnf_rows_reference(tuple(s_rows[i] for i in j), carry)))
+    u = tuple(map(tuple, carry))
+    for signs in itertools.product((1, -1), repeat=k):
+        d_basis = tuple(
+            tuple(e * x for x in d_rows[i]) for e, i in zip(signs, j)
+        )
+        rhs = mat_mul(u, d_basis)
+        m_row: list = [()] * k
+        for i in reversed(range(k)):
+            row = [
+                x - sum(h[i][t] * m_row[t][c] for t in range(i + 1, k))
+                for c, x in enumerate(rhs[i])
+            ]
+            if any(x % h[i][i] for x in row):
+                break
+            m_row[i] = tuple(x // h[i][i] for x in row)
+        else:
+            m = tuple(m_row)
+            if abs(det_int(m)) == 1 and _maps_all(s_rows, d_rows, m):
+                return m
+    return None
 
 
 def census_bruteforce(poset, k: int, vocab: Sequence[tuple[int, ...]]) -> list[tuple]:

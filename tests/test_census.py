@@ -101,8 +101,14 @@ def test_census_rank3_matches_bruteforce():
         (polygon_poset(6), 2, 2, 2450),
         (square_poset(), 2, 4, 994),
         (cube_poset(3), 3, 1, 88926),
+        (square_poset(), 3, 1, 13338),
+        (triangle_poset(), 4, 1, 46920),
+        (square_poset(), 1, 2, 0),
     ],
-    ids=["prism", "simplex3", "pentagon", "hexagon", "square", "cube3"],
+    ids=[
+        "prism", "simplex3", "pentagon", "hexagon", "square", "cube3",
+        "square-k3", "triangle-k4", "square-k1",
+    ],
 )
 def test_census_known_counts(poset, k, bound, total):
     assert enumerate_census(CensusSpec(poset, k, bound)).total_valid == total
@@ -131,11 +137,15 @@ def _star_poset(n):
         (square_poset(), 1, 2),
         (FacePoset([("T", 0)], [], 3), 2, 1),
         (_star_poset(1500), 1, 1),
+        # k above the orbit dimension: every face mask is taken over a
+        # quotient of rank 2 or more.
+        (square_poset(), 3, 1),
+        (triangle_poset(), 4, 1),
     ],
     ids=[
         "prism", "simplex3", "pentagon-B3", "hexagon-B2", "square-B4", "square-B3",
         "pentagon-B2", "hexagon-B1", "triangle", "star6", "square-k1", "no-facets",
-        "star1500",
+        "star1500", "square-k3", "triangle-k4",
     ],
 )
 def test_enumerate_labelings_matches_reference(poset, k, bound):

@@ -1,13 +1,18 @@
 import itertools
 import random
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lstorus import lattice
 from lstorus.lattice import (
     LatticeError,
     _greedy_independent,
+    _hnf_rows,
+    _solve_full_rank,
     PrimitiveVector,
     Subtorus,
     apply_auto,
@@ -24,22 +29,40 @@ from lstorus.lattice import (
     mat_inverse_unimodular,
     mat_mul,
     random_unimodular,
-    rank_int,
     right_kernel_basis,
     saturate,
     snf_diagonal,
     solve_unimodular,
+    summand_extension_mask,
     transpose,
 )
 
 from oracles import (
     gl_orbit_match,
     gl_sign_normal_form_reference,
+    hnf_rows_reference,
     minor_gcd_is_summand,
     rational_rank,
     saturation_members_bruteforce,
+    solve_full_rank_reference,
     spans_equal_bruteforce,
 )
+
+
+@st.composite
+def integer_matrices(draw, max_rows=5, max_cols=5):
+    """Small integer matrices; repeated and combined rows make rank
+    deficiency and zero rows common."""
+    n = draw(st.integers(1, max_rows))
+    k = draw(st.integers(1, max_cols))
+    bound = draw(st.sampled_from((1, 3, 9)))
+    entry = st.integers(-bound, bound)
+    rows = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(st.integers(-2, 2))
+        rows.insert(draw(st.integers(0, len(rows))), [c * x + y for x, y in zip(a, b)])
+    return tuple(tuple(row) for row in rows)
 
 
 def test_hnf_permuted_identity():
@@ -137,11 +160,38 @@ def test_as_matrix_returns_a_frozen_matrix_as_it_is():
         (((1, 0), (False, 1)), "non-integer entry False"),
         (((1, 2.0),), "non-integer entry 2.0"),
         ([[1.5, 2]], "non-integer entry 1.5"),
+        ([["a"]], "non-integer entry 'a'"),
+        ([[None]], "non-integer entry None"),
+        ([[float("nan")]], "non-integer entry nan"),
+        ([[float("inf")]], "non-integer entry inf"),
+        ([1, 2], "row 0 is not a sequence: 1"),
+        ([(1, 2), 3], "row 1 is not a sequence: 3"),
+        (["12"], "row 0 is not a sequence: '12'"),
+        (None, "not a sequence of rows"),
+        ("12", "not a sequence of rows"),
+        ({(1, 2)}, "not a sequence of rows"),
     ],
 )
 def test_as_matrix_rejections(rows, message):
     with pytest.raises(LatticeError, match=message):
         as_matrix(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_matrices())
+def test_hnf_rows_and_carry_match_reference(m):
+    carry = [list(row) for row in identity(len(m))]
+    expected_carry = [list(row) for row in identity(len(m))]
+    assert _hnf_rows(m, carry) == hnf_rows_reference(m, expected_carry)
+    assert carry == expected_carry
+    assert _hnf_rows(m) == hnf_rows_reference(m)
+
+
+def test_det_int_of_the_empty_matrix_is_one():
+    assert det_int(()) == 1
+    assert det_int(((5,),)) == 5
+    with pytest.raises(LatticeError, match="square"):
+        det_int(((1, 2),))
 
 
 def test_is_direct_summand_examples():
@@ -171,6 +221,64 @@ def test_is_direct_summand_matches_minor_gcd_random():
         k = rng.randrange(n, 5)
         rows = tuple(tuple(rng.randrange(-3, 4) for _ in range(k)) for _ in range(n))
         assert is_direct_summand(rows) == minor_gcd_is_summand(rows), rows
+
+
+@st.composite
+def extension_cases(draw):
+    """(rows, vectors) in Z^k with 0 to k - 1 rows, which may repeat, be
+    zero, or span a sublattice that is not saturated."""
+    k = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=k, max_size=k).map(tuple)
+    rows = draw(st.lists(vec, max_size=k - 1))
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = tuple(draw(st.sampled_from((2, -3))) * x for x in rows[i])
+    if 0 < len(rows) < k - 1 and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    vectors = draw(st.lists(vec, min_size=1, max_size=12))
+    if rows and draw(st.booleans()):
+        vectors.append(draw(st.sampled_from(rows)))
+    return tuple(rows), vectors
+
+
+def _mask_expected(rows, vectors):
+    return sum(
+        1 << j for j, v in enumerate(vectors) if minor_gcd_is_summand(list(rows) + [v])
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(extension_cases())
+def test_summand_extension_mask_matches_minor_gcd(case):
+    rows, vectors = case
+    assert summand_extension_mask(rows, vectors) == _mask_expected(rows, vectors)
+
+
+def test_summand_extension_mask_exhaustive_small():
+    # Every rank, duplicate, zero and non-saturated row set over small boxes:
+    # k = 2 over [-2, 2] and k = 3 over [-1, 1], against the whole box.
+    seen = {"deficient": 0, "saturated": 0, "not saturated": 0}
+    for k, b in ((2, 2), (3, 1)):
+        box = list(itertools.product(range(-b, b + 1), repeat=k))
+        for r in range(k):
+            for rows in itertools.product(box, repeat=r):
+                assert summand_extension_mask(rows, box) == _mask_expected(rows, box), rows
+                if r:
+                    rank = rational_rank(rows)
+                    key = "deficient" if rank < r else (
+                        "saturated" if minor_gcd_is_summand(rows) else "not saturated"
+                    )
+                    seen[key] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_summand_extension_mask_edges():
+    e = ((1, 0), (0, 1))
+    assert summand_extension_mask((), []) == 0
+    assert summand_extension_mask(e, [(1, 1)]) == 0  # k rows leave no room
+    assert summand_extension_mask((), [(2, 0), (1, 2), (0, 0)]) == 0b10
+    with pytest.raises(LatticeError, match="differ in length"):
+        summand_extension_mask(((1, 0, 0),), [(0, 1)])
 
 
 def test_saturate_examples():
@@ -227,6 +335,38 @@ def test_subtorus_equality_and_containment():
     assert all(full.contains_vector(row) for row in a.basis)
     assert not all(a.contains_vector(row) for row in full.basis)
     assert Subtorus.trivial(2).rank == 0
+
+
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        (((-1, -1),), "not a Hermite basis"),  # pivot negative
+        (((0, 0),), "not a Hermite basis"),  # zero row
+        (((1, 0), (0, 0)), "not a Hermite basis"),
+        (((0, 1), (1, 0)), "not a Hermite basis"),  # pivots out of order
+        (((1, 0), (1, 0)), "not a Hermite basis"),
+        (((1, 1), (0, 1)), "not a Hermite basis"),  # entry above a pivot
+        (((1, -1), (0, 2)), "not a Hermite basis"),
+        (((2, 0),), "not saturated"),
+        (((1, 1), (0, 2)), "not saturated"),
+        (((1, 0, 0),), "width differs"),
+        (((1.0, 0),), "non-integer entry"),
+        (None, "not a sequence"),
+    ],
+)
+def test_subtorus_rejects_a_basis_off_its_invariant(basis, message):
+    with pytest.raises(LatticeError, match=message):
+        Subtorus(2, basis)
+
+
+def test_subtorus_canonical_basis_is_its_identity():
+    assert Subtorus(2, ((1, 1),)) == saturate(((1, 1),)) == saturate(((-1, -1),))
+    assert Subtorus(2, [[1, 0], [0, 1]]) == Subtorus.full(2)
+    assert Subtorus(2, []) == Subtorus.trivial(2) and Subtorus(2, []).basis == ()
+    assert not Subtorus.trivial(2).contains_vector((1, 0))
+    assert Subtorus.trivial(2).contains_vector((0, 0))
+    with pytest.raises(LatticeError, match="positive"):
+        Subtorus(0, ())
 
 
 def test_primitive_vector_canonicalization():
@@ -351,6 +491,71 @@ def test_solve_unimodular_source_basis_of_index_two():
     assert found and missing
 
 
+@st.composite
+def solver_cases(draw):
+    """(src, dst, k): images of the sources under a random A, the same with
+    one image replaced, or unrelated vectors; sources of any rank."""
+    k = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(
+        lambda v: gcd(*v) == 1
+    )
+    n = draw(st.integers(1, 5))
+    src = [PrimitiveVector(draw(vec)) for _ in range(n)]
+    kind = draw(st.sampled_from(("image", "replaced", "unrelated")))
+    if kind == "unrelated":
+        dst = [PrimitiveVector(draw(vec)) for _ in range(n)]
+    else:
+        a = random_unimodular(k, random.Random(draw(st.integers(0, 2**32))))
+        dst = [apply_auto(a, v) for v in src]
+        if kind == "replaced":
+            dst[draw(st.integers(0, n - 1))] = PrimitiveVector(draw(vec))
+    return src, dst, k
+
+
+def _solve_both(src, dst, k):
+    """(solve_unimodular, the same with the reference full-rank solver)."""
+    got = solve_unimodular(src, dst, k)
+    with mock.patch.object(lattice, "_solve_full_rank", solve_full_rank_reference):
+        expected = solve_unimodular(src, dst, k)
+    return got, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(solver_cases())
+def test_solver_matches_reference(case):
+    src, dst, k = case
+    s_rows = tuple(v.coords for v in src)
+    d_rows = tuple(v.coords for v in dst)
+    j = _greedy_independent(s_rows)
+    if len(j) == k:
+        assert _solve_full_rank(s_rows, d_rows, j, k) == solve_full_rank_reference(
+            s_rows, d_rows, j, k
+        )
+    got, expected = _solve_both(src, dst, k)
+    assert got == expected
+
+
+def test_solver_matches_reference_on_found_none_and_non_unique():
+    # The same comparison on seeded cases, counting each kind of result.
+    rng = random.Random(53)
+    kinds = {"unique": 0, "not unique": 0, "none": 0}
+    for _ in range(1500):
+        k = rng.randint(1, 4)
+        src = []
+        while len(src) < rng.randint(1, 5):
+            v = [rng.randint(-3, 3) for _ in range(k)]
+            if gcd(*v) == 1:
+                src.append(PrimitiveVector(v))
+        a = random_unimodular(k, rng)
+        dst = [apply_auto(a, v) for v in src]
+        if rng.random() < 0.4:
+            dst[rng.randrange(len(dst))] = rng.choice(src)
+        got, expected = _solve_both(src, dst, k)
+        assert got == expected, (src, dst)
+        kinds["none" if got is None else "unique" if got.unique else "not unique"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
 def test_extend_saturated():
     rng = random.Random(31)
     for _ in range(100):
@@ -369,7 +574,7 @@ def test_extend_saturated():
 
 def test_right_kernel():
     ker = right_kernel_basis(((1, 1),))
-    assert rank_int(ker) == 1
+    assert len(ker) == 1
     assert all(sum(r) == 0 for r in ker)
     assert right_kernel_basis(identity(3)) == ()
 
@@ -407,8 +612,8 @@ def test_rank_and_greedy_independent_match_rational_rank():
             c, d = rng.randrange(-2, 3), rng.randrange(-2, 3)
             rows.insert(rng.randrange(len(rows) + 1), tuple(c * x + d * y for x, y in zip(a, b)))
         rows = tuple(rows)
-        assert rank_int(rows) == rational_rank(rows), rows
         chosen = _greedy_independent(rows)
+        assert len(chosen) == rational_rank(rows), rows
         # Greedy in order: a row is chosen exactly when it raises the rank
         # of the rows before it.
         expected = [
@@ -474,7 +679,7 @@ def test_gl_sign_normal_form_matches_gl_orbit_match():
         same = gl_sign_normal_form(m) == gl_sign_normal_form(other)
         assert same == gl_orbit_match(src, dst, k), (m, other)
         outcomes[same] += 1
-        deficient += rank_int(m) < k
+        deficient += rational_rank(m) < k
     assert min(outcomes.values()) >= 50 and deficient >= 50, (outcomes, deficient)
 
 
@@ -501,10 +706,16 @@ def test_gl_sign_normal_form_matches_reference():
         m = tuple(tuple(row) for row in m)
         assert gl_sign_normal_form(m) == gl_sign_normal_form_reference(m), m
         shapes["zero"] += not any(map(any, m))
-        shapes["deficient"] += 0 < rank_int(m) < min(k, n)
+        shapes["deficient"] += 0 < rational_rank(m) < min(k, n)
         shapes["row"] += k == 1
         shapes["column"] += n == 1
     assert min(shapes.values()) >= 200, shapes
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_matrices(max_rows=4, max_cols=8))
+def test_gl_sign_normal_form_matches_reference_hypothesis(m):
+    assert gl_sign_normal_form(m) == gl_sign_normal_form_reference(m)
 
 
 def test_transpose_involution():
