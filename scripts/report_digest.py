@@ -9,6 +9,9 @@ The dump holds, for the tree the script sits in:
   * `iso` reports (strong and weak) for every document in fixtures/ against
     itself and for every pair of labelled documents with equal k and
     dim_orbit;
+  * `iso` reports (strong and weak) for every labelled document in
+    fixtures/ against a copy with renamed faces and labels moved by a
+    random automorphism, seeded by the file name;
   * `validate` reports for the invalid documents in INVALID below;
   * census reports under `--dedup none`, `strong` and `weak` for the
     (poset, k, B) settings in CENSUS below, and the budget refusal of each
@@ -17,7 +20,7 @@ The dump holds, for the tree the script sits in:
 
 Each entry maps a command line to the exit code and the exact stdout text
 of `lstorus.cli.main`; census and INVALID entries name the input instead of
-its file.
+its file, and the moved copies are named relative to the work directory.
 Run it in two checkouts and compare the dumps with `cmp` to check that a
 change keeps these reports byte-identical.  The script re-executes itself
 with PYTHONHASHSEED=0 so that both runs hash alike.
@@ -31,6 +34,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -42,14 +46,16 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from lstorus import fixtures  # noqa: E402
-from lstorus.charpair import CharacteristicPair  # noqa: E402
+from lstorus.charpair import CharacteristicPair, relabel, rename_faces  # noqa: E402
 from lstorus.cli import main as cli_main  # noqa: E402
 from lstorus.documents import (  # noqa: E402
     pair_to_object,
     parse_document,
     poset_to_object,
+    serialize_pair,
     serialize_poset,
 )
+from lstorus.lattice import random_unimodular  # noqa: E402
 
 # (poset, k, B): every census setting of the benchmark's census workloads.
 CENSUS = [
@@ -122,6 +128,26 @@ def run(argv: list[str]) -> dict:
     return {"exit": code, "stdout": out.getvalue()}
 
 
+def run_in(directory: pathlib.Path, argv: list[str]) -> dict:
+    """`run` with `directory` as the working directory."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        return run(argv)
+    finally:
+        os.chdir(cwd)
+
+
+def moved_copy(path: pathlib.Path, pair: CharacteristicPair) -> CharacteristicPair:
+    """The pair with its faces renamed in a shuffled order and its labels
+    moved by a random automorphism, both seeded by the file name."""
+    rng = random.Random(path.name)
+    ids = pair.poset.ids()
+    names = [f"r{i}" for i in range(len(ids))]
+    rng.shuffle(names)
+    return relabel(rename_faces(pair, dict(zip(ids, names))), random_unimodular(pair.k, rng))
+
+
 def digest(workdir: pathlib.Path) -> dict[str, dict]:
     entries = {}
     # Relative paths keep the reports that name a path free of the checkout.
@@ -132,11 +158,12 @@ def digest(workdir: pathlib.Path) -> dict[str, dict]:
         for mode in ("strong", "weak"):
             argv = ["canon", str(path), "--mode", mode]
             entries[" ".join(argv)] = run(argv)
-    shapes = {}
+    pairs = {}
     for path in paths:
         pair = parse_document(path.read_text(encoding="utf-8")).pair
         if pair is not None:
-            shapes[path] = (pair.k, pair.dim_orbit)
+            pairs[path] = pair
+    shapes = {path: (pair.k, pair.dim_orbit) for path, pair in pairs.items()}
     iso_pairs = [(path, path) for path in paths] + [
         (a, b) for a, b in itertools.combinations(shapes, 2) if shapes[a] == shapes[b]
     ]
@@ -144,6 +171,14 @@ def digest(workdir: pathlib.Path) -> dict[str, dict]:
         for mode in ("strong", "weak"):
             argv = ["iso", str(a), str(b), "--mode", mode]
             entries[" ".join(argv)] = run(argv)
+    # A weak witness that is not the identity; the half plane's is not unique.
+    for path, pair in pairs.items():
+        moved = f"{path.stem}-moved.json"
+        (workdir / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+        (workdir / moved).write_text(serialize_pair(moved_copy(path, pair)), encoding="utf-8")
+        for mode in ("strong", "weak"):
+            argv = ["iso", path.name, moved, "--mode", mode]
+            entries[" ".join(argv)] = run_in(workdir, argv)
     for name, make in INVALID.items():
         doc = workdir / f"{name}.json"
         doc.write_text(json.dumps(make()), encoding="utf-8")

@@ -365,10 +365,10 @@ def _decide(a: CharacteristicPair, b: CharacteristicPair, mode: str) -> Verdict:
     facets = a.poset.facets()
     sa = _SearchPoset(a.poset, labels_a, mode)
     sb = _SearchPoset(b.poset, labels_b, mode)
+    src = [labels_a[f] for f in facets]
     for phi in _iso_candidates(sa, sb):
         auto, unique = None, True
         if mode == "weak":
-            src = [labels_a[f] for f in facets]
             dst = [labels_b[phi[f]] for f in facets]
             sol = solve_unimodular(src, dst, a.k)
             if sol is None:
@@ -424,9 +424,11 @@ def verify_witness(
     if mode == "strong":
         return all(labels_a[f] == labels_b[phi[f]] for f in labels_a)
     auto = witness.auto
-    if auto is None or len(auto) != a.k or any(len(r) != a.k for r in auto):
+    if type(auto) not in (tuple, list) or len(auto) != a.k:
         return False
-    if any(not isinstance(x, int) for r in auto for x in r):
+    if any(type(r) not in (tuple, list) or len(r) != a.k for r in auto):
+        return False
+    if any(type(x) is not int for r in auto for x in r):
         return False
     if abs(det_int(auto)) != 1:
         return False

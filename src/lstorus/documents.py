@@ -19,6 +19,7 @@ import json
 import os
 import re
 import stat
+import sys
 import tempfile
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode_str
@@ -221,6 +222,13 @@ def parse_document(text: str) -> ParsedDocument:
         raise DocumentError(
             f"JSON parse error: {exc.msg}", line=exc.lineno, col=exc.colno
         ) from exc
+    except ValueError as exc:  # an integer literal past the conversion limit
+        raise DocumentError(
+            "JSON parse error: an integer literal has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise DocumentError("JSON parse error: arrays or objects nest too deeply") from exc
     if type(raw) is not dict:
         raise DocumentError("document root must be an object")
     unknown = raw.keys() - _DOCUMENT_KEYS

@@ -6,6 +6,10 @@ entry growth is harmless at the matrix sizes this package deals with.
 
 Every rank, independence, summand, inverse and solve query goes through one
 Hermite routine (``_hnf_rows``); nothing here uses rational arithmetic.
+Every question about A @ m @ D, with A in GL(k, Z) and D a diagonal +-1
+matrix, goes through one normal form (``gl_sign_normal_form``): the census
+weak key, the weak canonical form, and ``solve_unimodular``, which finds
+the weak decider's torus automorphism.
 ``snf_diagonal`` is kept as public API only, and ``det_int`` (Bareiss) is
 the independent check behind witness re-verification.
 
@@ -223,17 +227,26 @@ def gl_sign_normal_form(m: Matrix) -> Matrix:
     entries above the pivot into [0, pivot).  The HNF is unique, so this is
     what a fresh reduction would give.
     """
+    return _gl_sign_form(m)[0]
+
+
+def _gl_sign_form(m: Matrix) -> tuple[Matrix, Row]:
+    """``gl_sign_normal_form(m)`` and column signs D with form == hnf(m @ D).
+
+    Of the pivot flips that reach the form, D holds the first in product
+    order; the non-pivot signs are the ones that canonicalise the columns.
+    """
     h = _hnf_rows(as_matrix(m))
     pivots = [next(j for j, x in enumerate(row) if x) for row in h if any(row)]
     free = [j for j in range(len(h[0])) if j not in pivots]
-    best = None
+    best = best_flips = None
     for signs in itertools.product((1, -1), repeat=max(len(pivots) - 1, 0)):
         rows = [list(row) for row in h]
-        if -1 in signs:
-            for c, sign in zip(pivots[1:], signs):
-                if sign < 0:
-                    for row in rows:
-                        row[c] = -row[c]
+        flips = [c for c, sign in zip(pivots[1:], signs) if sign < 0]
+        if flips:
+            for c in flips:
+                for row in rows:
+                    row[c] = -row[c]
             for r, c in enumerate(pivots):
                 pivot_row = rows[r]
                 if pivot_row[c] < 0:
@@ -250,12 +263,13 @@ def gl_sign_normal_form(m: Matrix) -> Matrix:
                 if lead:
                     break
             if lead < 0:
+                flips.append(j)
                 for row in rows:
                     row[j] = -row[j]
         form = tuple(map(tuple, rows))
         if best is None or form < best:
-            best = form
-    return best
+            best, best_flips = form, flips
+    return best, tuple(-1 if j in best_flips else 1 for j in range(len(h[0])))
 
 
 def snf_diagonal(m: Matrix) -> list[int]:
@@ -454,23 +468,6 @@ def span_contains_vector(echelon_basis: Matrix, v: Row) -> bool:
     return not any(w)
 
 
-def coords_in_basis(echelon_basis: Matrix, v: Row) -> Optional[Row]:
-    """Integer coordinates of v over an HNF basis, or None when outside."""
-    w = list(v)
-    coeffs = []
-    for row in echelon_basis:
-        pc = next(j for j, x in enumerate(row) if x)
-        q, rem = divmod(w[pc], row[pc])
-        if rem:
-            return None
-        coeffs.append(q)
-        if q:
-            w = [x - q * y for x, y in zip(w, row)]
-    if any(w):
-        return None
-    return tuple(coeffs)
-
-
 def saturate(m: Matrix) -> Subtorus:
     """Primitive closure of the row span, as a canonical Subtorus.
 
@@ -547,33 +544,6 @@ def mat_inverse_unimodular(m: Matrix) -> Matrix:
     return u
 
 
-def extend_saturated(basis: Matrix) -> Matrix:
-    """Complete a saturated basis (r x k rows) to a unimodular k x k matrix.
-
-    The first r rows of the result equal the input rows.
-    """
-    basis = as_matrix(basis)
-    h, u = hnf_with_transform(transpose(basis))
-    r = len(basis)
-    if not _is_unit_block(h):
-        raise LatticeError("rows are not a basis of a saturated sublattice")
-    p = transpose(mat_inverse_unimodular(u))
-    if p[:r] != basis:
-        raise RuntimeError("internal: extension does not start with the basis")
-    if abs(det_int(p)) != 1:
-        raise RuntimeError("internal: extension is not unimodular")
-    return p
-
-
-def _greedy_independent(rows: Sequence[Row]) -> list[int]:
-    """Indices of a maximal independent subset, chosen greedily in order.
-
-    These are the pivot columns of the Hermite form of the rows as columns.
-    """
-    h = _hnf_rows(transpose(rows))
-    return [next(j for j, x in enumerate(row) if x) for row in h if any(row)]
-
-
 @dataclass(frozen=True)
 class UnimodularSolution:
     """A in GL(k, Z) with A @ src_i == +-dst_i; unique is False when the
@@ -589,9 +559,13 @@ def solve_unimodular(
     """Find A in GL(k, Z) with A @ src_i == +-dst_i for every i, or None.
 
     Signs are free per pair because primitive vectors are sign-canonical.
-    When the sources span rank r < k the restriction of A to the saturation
-    is solved exactly and extended arbitrarily; the returned representative
-    is flagged non-unique.
+    With S and T the k x n matrices whose columns are the sources and the
+    destinations, A exists exactly when S and T have the same
+    ``gl_sign_normal_form`` F.  With U_S @ S @ D_S == F == U_T @ T @ D_T
+    (``hnf_with_transform`` of the sign-flipped matrices), A is
+    U_T^-1 @ U_S.  ``unique`` is True exactly when F has k nonzero rows;
+    when the sources span rank r < k, A is free on a complement and the
+    returned representative is flagged non-unique.
     """
     if len(src) != len(dst):
         raise LatticeError("source and destination lists differ in length")
@@ -600,91 +574,23 @@ def solve_unimodular(
     if not src:
         return UnimodularSolution(identity(k), unique=False)
 
-    s_rows = tuple(v.coords for v in src)
-    d_rows = tuple(v.coords for v in dst)
-    j = _greedy_independent(s_rows)
-    r = len(j)
-
-    if r == k:
-        m_row = _solve_full_rank(s_rows, d_rows, j, k)
-        if m_row is None:
-            return None
-        return UnimodularSolution(transpose(m_row), unique=True)
-
-    sat_s = saturate(s_rows)
-    sat_d = saturate(d_rows)
-    if sat_d.rank != r:
+    s = transpose(tuple(v.coords for v in src))
+    t = transpose(tuple(v.coords for v in dst))
+    form, s_signs = _gl_sign_form(s)
+    t_form, t_signs = _gl_sign_form(t)
+    if form != t_form:
         return None
-    cs = [coords_in_basis(sat_s.basis, v) for v in s_rows]
-    cd = [coords_in_basis(sat_d.basis, v) for v in d_rows]
-    if any(c is None for c in cs + cd):
-        raise RuntimeError("internal: a label lies outside its saturation")
-    sub = solve_unimodular(
-        [PrimitiveVector(c) for c in cs], [PrimitiveVector(c) for c in cd], r
-    )
-    if sub is None:
-        return None
-    g_row = transpose(sub.matrix)
-    p = extend_saturated(sat_s.basis)
-    q = extend_saturated(sat_d.basis)
-    block = tuple(
-        tuple(
-            (g_row[i][jj] if i < r and jj < r else (1 if i == jj else 0))
-            for jj in range(k)
-        )
-        for i in range(k)
-    )
-    m_row = mat_mul(mat_mul(mat_inverse_unimodular(p), block), q)
-    if not _maps_all(s_rows, d_rows, m_row):
-        return None
-    if abs(det_int(m_row)) != 1:
+    _, u_s = hnf_with_transform(tuple(
+        tuple(x * e for x, e in zip(row, s_signs)) for row in s))
+    _, u_t = hnf_with_transform(tuple(
+        tuple(x * e for x, e in zip(row, t_signs)) for row in t))
+    a = mat_mul(mat_inverse_unimodular(u_t), u_s)
+    if abs(det_int(a)) != 1:
         raise RuntimeError("internal: solution is not unimodular")
-    return UnimodularSolution(transpose(m_row), unique=False)
-
-
-def _solve_full_rank(
-    s_rows: Sequence[Row], d_rows: Sequence[Row], j: list[int], k: int
-) -> Optional[Matrix]:
-    """Row-action matrix M with s_i @ M == +-d_i, via sign enumeration on a
-    rational basis S among the sources.
-
-    With U @ S == H upper triangular, S @ M == D becomes H @ M == U @ D,
-    solved by integer back-substitution; a remainder means no integral M.
-    If M solves the system so does -M, from the opposite signs, and of the
-    two the pattern that starts with -1 comes later in product order.  So
-    only the 2^(k-1) patterns that start with +1 are tried, and the first
-    solution found is the one the full 2^k enumeration finds first.
-    """
-    h, u = hnf_with_transform(tuple(s_rows[i] for i in j))
-    for rest in itertools.product((1, -1), repeat=k - 1):
-        d_basis = tuple(
-            tuple(e * x for x in d_rows[i]) for e, i in zip((1,) + rest, j)
-        )
-        rhs = mat_mul(u, d_basis)
-        m_row: list[Row] = [()] * k
-        for i in reversed(range(k)):
-            row = [
-                x - sum(h[i][t] * m_row[t][c] for t in range(i + 1, k))
-                for c, x in enumerate(rhs[i])
-            ]
-            if any(x % h[i][i] for x in row):
-                break
-            m_row[i] = tuple(x // h[i][i] for x in row)
-        else:
-            m = tuple(m_row)
-            if abs(det_int(m)) == 1 and _maps_all(s_rows, d_rows, m):
-                return m
-    return None
-
-
-def _maps_all(s_rows: Sequence[Row], d_rows: Sequence[Row], m_row: Matrix) -> bool:
-    for s, d in zip(s_rows, d_rows):
-        image = tuple(
-            sum(s[i] * m_row[i][c] for i in range(len(s))) for c in range(len(d))
-        )
-        if canonical_sign(image) != d:
-            return False
-    return True
+    image = transpose(mat_mul(a, s))
+    if any(canonical_sign(v) != d.coords for v, d in zip(image, dst)):
+        raise RuntimeError("internal: solution does not map a source to its destination")
+    return UnimodularSolution(a, unique=any(form[-1]))
 
 
 def random_unimodular(

@@ -6,16 +6,22 @@ membership, sympy's normal forms, and a term-by-term evaluator of the chart
 formulas.  Keep it that way; these functions are
 the other side of every dual-route check in the test suite.
 
-Six are the plain forms of faster kernels, which must match them exactly:
+Five are the plain forms of faster kernels, which must match them exactly:
 ``enumerate_labelings_reference`` tests every candidate label against every
 face it completes, ``gl_sign_normal_form_reference`` runs a fresh Hermite
 reduction for every pivot-column flip, ``deduplicate_reference`` computes
 the weak key on every member of every strong orbit,
 ``canonical_json_reference`` is the ``json.dumps`` call that
-``documents.canonical_json`` replaces, and ``hnf_rows_reference`` and
-``solve_full_rank_reference`` are the earlier Hermite reduction and
-full-rank solver, kept as they were: a pivot search through ``min`` with a
-key per Euclidean step, and all 2^k sign patterns.
+``documents.canonical_json`` replaces, and ``hnf_rows_reference`` is the
+earlier Hermite reduction, kept as it was: a pivot search through ``min``
+with a key per Euclidean step.
+
+``solve_unimodular_reference`` is the earlier torus-automorphism solver,
+kept as it was: sign enumeration with back-substitution at full rank, and
+saturate, extend and recurse below it.  Where the sources have full rank
+the package's solver must return its matrix exactly; below full rank A is
+free on a complement, so only the found/None verdict and ``unique`` must
+agree.
 """
 
 from __future__ import annotations
@@ -33,13 +39,21 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from lstorus.census import CensusClass, primitive_vectors_in_box
 from lstorus.lattice import (
-    _maps_all,
+    LatticeError,
+    PrimitiveVector,
+    UnimodularSolution,
+    as_matrix,
+    canonical_sign,
     det_int,
     gl_sign_normal_form,
     hnf,
+    hnf_with_transform,
     identity,
     is_direct_summand,
+    mat_inverse_unimodular,
     mat_mul,
+    saturate,
+    transpose,
 )
 from lstorus.localmodel import LocalModelError, ModelPoint, XScaleLayer, YShearLayer
 
@@ -297,20 +311,89 @@ def hnf_rows_reference(m, carry: Optional[list[list[int]]] = None) -> list[list[
     return rows
 
 
-def solve_full_rank_reference(s_rows, d_rows, j: list[int], k: int):
+def solve_unimodular_reference(
+    src: Sequence[PrimitiveVector], dst: Sequence[PrimitiveVector], k: int
+) -> Optional[UnimodularSolution]:
+    """Find A in GL(k, Z) with A @ src_i == +-dst_i for every i, or None.
+
+    Signs are free per pair because primitive vectors are sign-canonical.
+    When the sources span rank r < k the restriction of A to the saturation
+    is solved exactly and extended arbitrarily; the returned representative
+    is flagged non-unique.
+    """
+    if len(src) != len(dst):
+        raise LatticeError("source and destination lists differ in length")
+    if any(v.k != k for v in src) or any(v.k != k for v in dst):
+        raise LatticeError("vector length differs from ambient rank")
+    if not src:
+        return UnimodularSolution(identity(k), unique=False)
+
+    s_rows = tuple(v.coords for v in src)
+    d_rows = tuple(v.coords for v in dst)
+    j = _greedy_independent(s_rows)
+    r = len(j)
+
+    if r == k:
+        m_row = _solve_full_rank(s_rows, d_rows, j, k)
+        if m_row is None:
+            return None
+        return UnimodularSolution(transpose(m_row), unique=True)
+
+    sat_s = saturate(s_rows)
+    sat_d = saturate(d_rows)
+    if sat_d.rank != r:
+        return None
+    cs = [_coords_in_basis(sat_s.basis, v) for v in s_rows]
+    cd = [_coords_in_basis(sat_d.basis, v) for v in d_rows]
+    if any(c is None for c in cs + cd):
+        raise RuntimeError("internal: a label lies outside its saturation")
+    sub = solve_unimodular_reference(
+        [PrimitiveVector(c) for c in cs], [PrimitiveVector(c) for c in cd], r
+    )
+    if sub is None:
+        return None
+    g_row = transpose(sub.matrix)
+    p = _extend_saturated(sat_s.basis)
+    q = _extend_saturated(sat_d.basis)
+    block = tuple(
+        tuple(
+            (g_row[i][jj] if i < r and jj < r else (1 if i == jj else 0))
+            for jj in range(k)
+        )
+        for i in range(k)
+    )
+    m_row = mat_mul(mat_mul(mat_inverse_unimodular(p), block), q)
+    if not _maps_all(s_rows, d_rows, m_row):
+        return None
+    if abs(det_int(m_row)) != 1:
+        raise RuntimeError("internal: solution is not unimodular")
+    return UnimodularSolution(transpose(m_row), unique=False)
+
+
+def _greedy_independent(rows: Sequence[tuple[int, ...]]) -> list[int]:
+    """Indices of a maximal independent subset, chosen greedily in order.
+
+    These are the pivot columns of the Hermite form of the rows as columns.
+    """
+    h = hnf(transpose(rows))
+    return [next(j for j, x in enumerate(row) if x) for row in h if any(row)]
+
+
+def _solve_full_rank(s_rows, d_rows, j: list[int], k: int):
     """Row-action matrix M with s_i @ M == +-d_i, via sign enumeration on a
     rational basis S among the sources.
 
     With U @ S == H upper triangular, S @ M == D becomes H @ M == U @ D,
     solved by integer back-substitution; a remainder means no integral M.
-    The Hermite form with its transform comes from ``hnf_rows_reference``.
+    If M solves the system so does -M, from the opposite signs, and of the
+    two the pattern that starts with -1 comes later in product order.  So
+    only the 2^(k-1) patterns that start with +1 are tried, and the first
+    solution found is the one the full 2^k enumeration finds first.
     """
-    carry = [list(r) for r in identity(len(j))]
-    h = tuple(map(tuple, hnf_rows_reference(tuple(s_rows[i] for i in j), carry)))
-    u = tuple(map(tuple, carry))
-    for signs in itertools.product((1, -1), repeat=k):
+    h, u = hnf_with_transform(tuple(s_rows[i] for i in j))
+    for rest in itertools.product((1, -1), repeat=k - 1):
         d_basis = tuple(
-            tuple(e * x for x in d_rows[i]) for e, i in zip(signs, j)
+            tuple(e * x for x in d_rows[i]) for e, i in zip((1,) + rest, j)
         )
         rhs = mat_mul(u, d_basis)
         m_row: list = [()] * k
@@ -327,6 +410,58 @@ def solve_full_rank_reference(s_rows, d_rows, j: list[int], k: int):
             if abs(det_int(m)) == 1 and _maps_all(s_rows, d_rows, m):
                 return m
     return None
+
+
+def _maps_all(s_rows, d_rows, m_row) -> bool:
+    for s, d in zip(s_rows, d_rows):
+        image = tuple(
+            sum(s[i] * m_row[i][c] for i in range(len(s))) for c in range(len(d))
+        )
+        if canonical_sign(image) != d:
+            return False
+    return True
+
+
+def _coords_in_basis(echelon_basis, v):
+    """Integer coordinates of v over an HNF basis, or None when outside."""
+    w = list(v)
+    coeffs = []
+    for row in echelon_basis:
+        pc = next(j for j, x in enumerate(row) if x)
+        q, rem = divmod(w[pc], row[pc])
+        if rem:
+            return None
+        coeffs.append(q)
+        if q:
+            w = [x - q * y for x, y in zip(w, row)]
+    if any(w):
+        return None
+    return tuple(coeffs)
+
+
+def _extend_saturated(basis):
+    """Complete a saturated basis (r x k rows) to a unimodular k x k matrix.
+
+    The first r rows of the result equal the input rows.
+    """
+    basis = as_matrix(basis)
+    h, u = hnf_with_transform(transpose(basis))
+    r = len(basis)
+    if not _is_unit_block(h):
+        raise LatticeError("rows are not a basis of a saturated sublattice")
+    p = transpose(mat_inverse_unimodular(u))
+    if p[:r] != basis:
+        raise RuntimeError("internal: extension does not start with the basis")
+    if abs(det_int(p)) != 1:
+        raise RuntimeError("internal: extension is not unimodular")
+    return p
+
+
+def _is_unit_block(h) -> bool:
+    """True when h is an identity block above zero rows, [I_r; 0]."""
+    return all(
+        x == (1 if i == j else 0) for i, row in enumerate(h) for j, x in enumerate(row)
+    )
 
 
 def census_bruteforce(poset, k: int, vocab: Sequence[tuple[int, ...]]) -> list[tuple]:

@@ -157,6 +157,16 @@ def test_verify_witness_rejects_malformed():
         a, a, IsoWitness(phi=ident, auto=((2, 0), (0, 1))), "weak"
     )
     assert not verify_witness(a, a, IsoWitness(phi=ident), "sideways")
+    # Booleans are ints to isinstance, but no matrix entry.
+    cube = cube_pair(2)
+    phi = {f: f for f in cube.poset.ids()}
+    assert verify_witness(cube, cube, IsoWitness(phi, ((1, 0), (0, 1))), "weak")
+    assert not verify_witness(
+        cube, cube, IsoWitness(phi, ((True, False), (False, True))), "weak"
+    )
+    # Rows that are not sequences are a flaw, not an exception.
+    assert not verify_witness(cube, cube, IsoWitness(phi, (1, 2)), "weak")
+    assert not verify_witness(cube, cube, IsoWitness(phi, ((1, 0), None)), "weak")
 
 
 def test_decider_matches_oracle_randomized():

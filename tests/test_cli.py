@@ -746,3 +746,29 @@ def test_face_id_with_a_lone_surrogate_is_a_document_error(capsys, tmp_path, rea
     assert report["command"] == reader.partition("-")[0]
     assert report["error"]["type"] == "document"
     assert "faces[1].id" in report["error"]["message"]
+
+
+_OVERSIZED = {
+    # json.loads refuses to convert an integer literal this long.
+    "long-integer": lambda: json.dumps({
+        "k": 1,
+        "dim_orbit": 1,
+        "faces": [{"id": "T", "codim": 0}, {"id": "A", "codim": 1}],
+        "covers": [["A", "T"]],
+        "lambda": {"A": [0]},
+    }).replace("[0]", "[" + "1" * 5000 + "]"),
+    # Nesting deeper than the parser's recursion limit.
+    "deep-nesting": lambda: "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_OVERSIZED))
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_oversized_json_is_a_document_error(capsys, tmp_path, reader, bad):
+    path = tmp_path / "input.json"
+    path.write_text(_OVERSIZED[bad](), encoding="utf-8")
+    code, report = run_cli(capsys, *_READERS[reader](str(path)))
+    assert code == 2
+    assert report["command"] == reader.partition("-")[0]
+    assert report["error"]["type"] == "document"
+    assert report["error"]["message"].startswith("JSON parse error")

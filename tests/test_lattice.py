@@ -1,26 +1,20 @@
 import itertools
 import random
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lstorus import lattice
 from lstorus.lattice import (
     LatticeError,
-    _greedy_independent,
     _hnf_rows,
-    _solve_full_rank,
     PrimitiveVector,
     Subtorus,
     apply_auto,
     as_matrix,
     canonical_sign,
-    coords_in_basis,
     det_int,
-    extend_saturated,
     gl_sign_normal_form,
     hnf,
     hnf_basis,
@@ -44,7 +38,7 @@ from oracles import (
     minor_gcd_is_summand,
     rational_rank,
     saturation_members_bruteforce,
-    solve_full_rank_reference,
+    solve_unimodular_reference,
     spans_equal_bruteforce,
 )
 
@@ -512,27 +506,32 @@ def solver_cases(draw):
     return src, dst, k
 
 
-def _solve_both(src, dst, k):
-    """(solve_unimodular, the same with the reference full-rank solver)."""
+def _check_against_reference(src, dst, k):
+    """Compare solve_unimodular with the earlier solver; return the kind.
+
+    At full rank the matrix must equal the reference's.  Below full rank A
+    is free on a complement, so only the verdict and ``unique`` must agree,
+    and the matrix must be unimodular and map each source to its
+    destination."""
     got = solve_unimodular(src, dst, k)
-    with mock.patch.object(lattice, "_solve_full_rank", solve_full_rank_reference):
-        expected = solve_unimodular(src, dst, k)
-    return got, expected
+    expected = solve_unimodular_reference(src, dst, k)
+    assert (got is None) == (expected is None), (src, dst)
+    if got is None:
+        return "none"
+    assert got.unique == expected.unique, (src, dst)
+    if got.unique:
+        assert got.matrix == expected.matrix, (src, dst)
+        return "unique"
+    assert abs(det_int(got.matrix)) == 1
+    for s_, d in zip(src, dst):
+        assert apply_auto(got.matrix, s_) == d
+    return "not unique"
 
 
 @settings(max_examples=300, deadline=None)
 @given(solver_cases())
 def test_solver_matches_reference(case):
-    src, dst, k = case
-    s_rows = tuple(v.coords for v in src)
-    d_rows = tuple(v.coords for v in dst)
-    j = _greedy_independent(s_rows)
-    if len(j) == k:
-        assert _solve_full_rank(s_rows, d_rows, j, k) == solve_full_rank_reference(
-            s_rows, d_rows, j, k
-        )
-    got, expected = _solve_both(src, dst, k)
-    assert got == expected
+    _check_against_reference(*case)
 
 
 def test_solver_matches_reference_on_found_none_and_non_unique():
@@ -550,26 +549,23 @@ def test_solver_matches_reference_on_found_none_and_non_unique():
         dst = [apply_auto(a, v) for v in src]
         if rng.random() < 0.4:
             dst[rng.randrange(len(dst))] = rng.choice(src)
-        got, expected = _solve_both(src, dst, k)
-        assert got == expected, (src, dst)
-        kinds["none" if got is None else "unique" if got.unique else "not unique"] += 1
+        kinds[_check_against_reference(src, dst, k)] += 1
     assert min(kinds.values()) >= 100, kinds
 
 
-def test_extend_saturated():
-    rng = random.Random(31)
-    for _ in range(100):
-        k = rng.randrange(1, 5)
-        n = rng.randrange(1, k + 1)
-        rows = tuple(tuple(rng.randrange(-3, 4) for _ in range(k)) for _ in range(n))
-        if not any(any(r) for r in rows):
-            continue
-        sat = saturate(rows)
-        if sat.rank == 0:
-            continue
-        p = extend_saturated(sat.basis)
-        assert p[: sat.rank] == sat.basis
-        assert abs(det_int(p)) == 1
+@pytest.mark.parametrize("k, bound, max_n", [(1, 3, 3), (2, 2, 2), (2, 1, 3), (3, 1, 2)])
+def test_solver_matches_reference_on_every_small_box_pair(k, bound, max_n):
+    # Every pair of label lists of length up to max_n from the
+    # sign-canonical primitive vectors of the box [-bound, bound]^k.
+    vectors = [
+        PrimitiveVector(v)
+        for v in itertools.product(range(-bound, bound + 1), repeat=k)
+        if any(v) and gcd(*v) == 1 and canonical_sign(v) == v
+    ]
+    for n in range(1, max_n + 1):
+        for src in itertools.product(vectors, repeat=n):
+            for dst in itertools.product(vectors, repeat=n):
+                _check_against_reference(list(src), list(dst), k)
 
 
 def test_right_kernel():
@@ -577,13 +573,6 @@ def test_right_kernel():
     assert len(ker) == 1
     assert all(sum(r) == 0 for r in ker)
     assert right_kernel_basis(identity(3)) == ()
-
-
-def test_coords_in_basis_roundtrip():
-    basis = hnf_basis(((1, 2, 0), (0, 0, 3)))
-    v = tuple(2 * basis[0][j] - basis[1][j] for j in range(3))
-    assert coords_in_basis(basis, v) == (2, -1)
-    assert coords_in_basis(basis, (0, 1, 0)) is None
 
 
 def test_mat_inverse_unimodular():
@@ -601,7 +590,7 @@ def test_mat_inverse_unimodular():
         mat_inverse_unimodular(((1, 0, 0), (0, 1, 0)))
 
 
-def test_rank_and_greedy_independent_match_rational_rank():
+def test_rank_matches_rational_rank():
     # 500 random matrices; dependent rows are built in and zero rows occur.
     rng = random.Random(41)
     for _ in range(500):
@@ -612,15 +601,7 @@ def test_rank_and_greedy_independent_match_rational_rank():
             c, d = rng.randrange(-2, 3), rng.randrange(-2, 3)
             rows.insert(rng.randrange(len(rows) + 1), tuple(c * x + d * y for x, y in zip(a, b)))
         rows = tuple(rows)
-        chosen = _greedy_independent(rows)
-        assert len(chosen) == rational_rank(rows), rows
-        # Greedy in order: a row is chosen exactly when it raises the rank
-        # of the rows before it.
-        expected = [
-            i for i in range(len(rows))
-            if rational_rank(rows[: i + 1]) > rational_rank(rows[:i])
-        ]
-        assert chosen == expected, rows
+        assert len(hnf_basis(rows)) == rational_rank(rows), rows
 
 
 def _random_configuration(rng, k):
