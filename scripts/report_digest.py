@@ -13,6 +13,8 @@ The dump holds, for the tree the script sits in:
     fixtures/ against a copy with renamed faces and labels moved by a
     random automorphism, seeded by the file name;
   * `validate` reports for the invalid documents in INVALID below;
+  * an error report of every kind that each subcommand can give, except
+    "io" and "internal", for the command lines in ERRORS below;
   * census reports under `--dedup none`, `strong` and `weak` for the
     (poset, k, B) settings in CENSUS below, and the budget refusal of each
     setting in CENSUS_REFUSED;
@@ -20,7 +22,8 @@ The dump holds, for the tree the script sits in:
 
 Each entry maps a command line to the exit code and the exact stdout text
 of `lstorus.cli.main`; census and INVALID entries name the input instead of
-its file, and the moved copies are named relative to the work directory.
+its file, and the moved copies and the inputs of ERRORS are named relative
+to the work directory.
 Run it in two checkouts and compare the dumps with `cmp` to check that a
 change keeps these reports byte-identical.  The script re-executes itself
 with PYTHONHASHSEED=0 so that both runs hash alike.
@@ -55,7 +58,7 @@ from lstorus.documents import (  # noqa: E402
     serialize_pair,
     serialize_poset,
 )
-from lstorus.lattice import random_unimodular  # noqa: E402
+from lstorus.lattice import PrimitiveVector, random_unimodular  # noqa: E402
 
 # (poset, k, B): every census setting of the benchmark's census workloads.
 CENSUS = [
@@ -121,6 +124,60 @@ INVALID = {
 }
 
 
+def _cube4_pair() -> dict:
+    """cube4 with the standard basis on its facets: above the canonical
+    form's 64-face bound."""
+    poset = fixtures.cube_poset(4)
+    labels = {}
+    for f in poset.facets():
+        axis = next(i for i, part in enumerate(f.split("|")) if part != "T")
+        labels[f] = PrimitiveVector(tuple(int(j == axis) for j in range(4)))
+    return pair_to_object(CharacteristicPair(poset, 4, labels))
+
+
+# The inputs of ERRORS, by file name.
+ERROR_INPUTS = {
+    "cp1.json": lambda: (ROOT / "fixtures" / "cp1.json").read_text(encoding="utf-8"),
+    "broken.json": lambda: '{"k": 2,,}',
+    "bad-label.json": lambda: json.dumps(INVALID["bad-label"]()),
+    "bad-poset.json": lambda: json.dumps(INVALID["missing-cover"]()),
+    "square-poset.json": lambda: serialize_poset(fixtures.square_poset()),
+    "cube2.json": lambda: serialize_poset(fixtures.cube_poset(2)),
+    "cube4-pair.json": lambda: json.dumps(_cube4_pair()),
+}
+# Error reports, by kind; each command line runs in the work directory.
+ERRORS = [
+    # document
+    ["validate", "broken.json"],
+    ["iso", "broken.json", "cp1.json"],
+    ["iso", "cp1.json", "broken.json"],
+    ["iso", "cp1.json", "square-poset.json"],
+    ["canon", "broken.json"],
+    ["canon", "square-poset.json", "--mode", "weak"],
+    ["census", "--poset", "broken.json", "--k", "2", "--bound", "1"],
+    # invalid-input
+    ["iso", "bad-poset.json", "cp1.json"],
+    ["iso", "cp1.json", "bad-label.json", "--mode", "weak"],
+    ["canon", "bad-poset.json"],
+    ["canon", "bad-label.json", "--mode", "weak"],
+    # size
+    ["canon", "cube4-pair.json"],
+    ["canon", "cube4-pair.json", "--mode", "weak"],
+    # census
+    ["census", "--poset", "square-poset.json", "--k", "2", "--bound", "0"],
+    ["census", "--poset", "square-poset.json", "--k", "0", "--bound", "1"],
+    ["census", "--poset", "square-poset.json", "--k", "2", "--bound", "1", "--budget", "0"],
+    ["census", "--poset", "bad-poset.json", "--k", "2", "--bound", "1"],
+    # budget, at a bound whose box must be counted, not listed
+    ["census", "--poset", "cube2.json", "--k", "2", "--bound", "10000000"],
+    # usage
+    ["localcheck", "--n", "3", "--k", "2", "--m", "0"],
+    ["census", "--poset", "square-poset.json", "--bound", "1"],
+    ["iso", "cp1.json"],
+    ["frobnicate", "cp1.json"],
+]
+
+
 def run(argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -183,6 +240,10 @@ def digest(workdir: pathlib.Path) -> dict[str, dict]:
         doc = workdir / f"{name}.json"
         doc.write_text(json.dumps(make()), encoding="utf-8")
         entries[f"validate {name}"] = run(["validate", str(doc)])
+    for name, make in ERROR_INPUTS.items():
+        (workdir / name).write_text(make(), encoding="utf-8")
+    for argv in ERRORS:
+        entries[" ".join(argv)] = run_in(workdir, argv)
     for name, k, bound in CENSUS:
         poset = workdir / f"{name}.json"
         poset.write_text(serialize_poset(POSETS[name]()), encoding="utf-8")

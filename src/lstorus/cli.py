@@ -3,13 +3,20 @@
 Subcommands: validate, iso, canon, census, localcheck.  Every run prints a
 JSON report to stdout (valid JSON on error paths too) and exits 0 on
 success, 1 on a negative-but-well-formed outcome (invalid pair, not
-equivalent, tolerance failure), 2 on parse/usage/resource errors.  Command
-line errors give a "usage" error report, a file that cannot be read or
-written an "io" one, input that is not UTF-8 JSON a "document" one, and any
-unexpected exception an "internal" one, all with exit 2 and nothing on
-stderr; --help alone prints plain text.  Reports can also be written to a
-file, atomically, with --output; the file is written before stdout, so a
-failed write prints only its "io" report.  Input files are never modified.
+equivalent, tolerance failure), 2 on parse/usage/resource errors.
+
+Each ``cmd_*`` function returns its report, without "schema" and "command",
+and its exit code, or raises; ``main`` alone writes reports.  The error kind
+of a report is decided in one place, the ``_KINDS`` table: a command line
+error or impossible localcheck dimensions give "usage", a file that cannot
+be read or written "io", input that is not UTF-8 JSON "document", a pair
+that fails validation "invalid-input", an oversized canonical form "size",
+a census spec or poset that cannot run "census", a census over budget
+"budget", and any other exception "internal", all with exit 2 and nothing
+on stderr; --help alone prints plain text.  Reports can also be written to
+a file, atomically, with --output; the file is written before stdout, so a
+failed write prints only its "io" report.  "internal" and command line
+"usage" reports go to stdout only.  Input files are never modified.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .census import (
     DEFAULT_BUDGET,
     enumerate_census,
 )
-from .charpair import validate_characteristic
+from .charpair import CharacteristicPair, validate_characteristic
 from .classify import (
     CanonicalFormError,
     Verdict,
@@ -44,6 +51,7 @@ from .documents import (
 )
 from .localmodel import LocalModelError, run_local_checks
 
+
 class _UsageError(Exception):
     def __init__(self, message: str, prog: str):
         super().__init__(message)
@@ -59,6 +67,31 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message, self.prog)
 
 
+class _InvalidInput(Exception):
+    """A document that parses but holds no valid pair."""
+
+    def __init__(self, message: str, violations: list):
+        super().__init__(message)
+        self.violations = violations
+
+
+# The error kind of each exception that main reports; the first match wins,
+# so BudgetExceededError comes before its base CensusError.  Any exception
+# not listed here is an "internal" error.
+_KINDS: tuple[tuple[type, str], ...] = (
+    (DocumentError, "document"),
+    (_InvalidInput, "invalid-input"),
+    (BudgetExceededError, "budget"),
+    (CensusError, "census"),
+    (CanonicalFormError, "size"),
+    (LocalModelError, "usage"),
+    (_UsageError, "usage"),
+    (OSError, "io"),
+)
+# What a subcommand raises for input it refuses: reported like a result.
+_REFUSALS = tuple(cls for cls, kind in _KINDS if kind != "io")
+
+
 def _emit(report: dict, output: Optional[str]) -> None:
     text = canonical_json(report)
     if output:
@@ -66,13 +99,21 @@ def _emit(report: dict, output: Optional[str]) -> None:
     sys.stdout.write(text)
 
 
-def _error_report(command: Optional[str], kind: str, exc: Exception) -> dict:
+def _error_report(command: Optional[str], exc: Exception) -> dict:
+    kind = next((kind for cls, kind in _KINDS if isinstance(exc, cls)), "internal")
     error: dict = {"type": kind, "message": str(exc)}
     if isinstance(exc, DocumentError):
         if exc.line is not None:
             error["line"] = exc.line
         if exc.col is not None:
             error["col"] = exc.col
+    elif isinstance(exc, BudgetExceededError):
+        error["estimate"] = exc.estimate
+        error["budget"] = exc.budget
+    elif isinstance(exc, _InvalidInput):
+        error["violations"] = exc.violations
+    elif kind == "internal":
+        error["exception"] = type(exc).__name__
     return {"schema": SCHEMA_VERSION, "command": command, "error": error}
 
 
@@ -105,21 +146,14 @@ def _verdict_object(verdict: Verdict) -> dict:
     }
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    command = "validate"
-    try:
-        doc = parse_document(_read(args.path))
-    except DocumentError as exc:
-        _emit(_error_report(command, "document", exc), args.output)
-        return 2
+def cmd_validate(args: argparse.Namespace) -> tuple[dict, int]:
+    doc = parse_document(_read(args.path))
     poset_report = doc.poset.validate()
     label_report = None
     if doc.pair is not None and poset_report.valid:
         label_report = validate_characteristic(doc.pair)
     valid = poset_report.valid and (label_report is None or label_report.valid)
     report = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
         "valid": valid,
         "lambda_present": doc.pair is not None,
         "poset_violations": validity_to_object(poset_report),
@@ -130,120 +164,57 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "dim_orbit": doc.poset.dim_orbit,
         "k": doc.k,
     }
-    _emit(report, args.output)
-    return 0 if valid else 1
+    return report, 0 if valid else 1
 
 
-def _load_valid_pair(command: str, path: str, output: Optional[str]):
-    """Parse and validate a full pair; emits an error report on failure."""
-    try:
-        doc = parse_document(_read(path))
-        if doc.pair is None:
-            raise DocumentError(f"{path}: document has no lambda key")
-    except DocumentError as exc:
-        _emit(_error_report(command, "document", exc), output)
-        return None
+def _load_valid_pair(path: str) -> CharacteristicPair:
+    """The valid pair that the file holds; raises DocumentError or
+    _InvalidInput when it holds none."""
+    doc = parse_document(_read(path))
+    if doc.pair is None:
+        raise DocumentError(f"{path}: document has no lambda key")
     poset_report = doc.pair.poset.validate()
     if not poset_report.valid:
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": command,
-                "error": {
-                    "type": "invalid-input",
-                    "message": f"{path}: poset is invalid",
-                    "violations": validity_to_object(poset_report),
-                },
-            },
-            output,
+        raise _InvalidInput(
+            f"{path}: poset is invalid", validity_to_object(poset_report)
         )
-        return None
     label_report = validate_characteristic(doc.pair)
     if not label_report.valid:
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": command,
-                "error": {
-                    "type": "invalid-input",
-                    "message": f"{path}: characteristic function is invalid",
-                    "violations": validity_to_object(label_report),
-                },
-            },
-            output,
+        raise _InvalidInput(
+            f"{path}: characteristic function is invalid",
+            validity_to_object(label_report),
         )
-        return None
     return doc.pair
 
 
-def cmd_iso(args: argparse.Namespace) -> int:
-    command = "iso"
-    a = _load_valid_pair(command, args.path_a, args.output)
-    if a is None:
-        return 2
-    b = _load_valid_pair(command, args.path_b, args.output)
-    if b is None:
-        return 2
+def cmd_iso(args: argparse.Namespace) -> tuple[dict, int]:
+    a = _load_valid_pair(args.path_a)
+    b = _load_valid_pair(args.path_b)
     decide = strong_equivalence if args.mode == "strong" else weak_equivalence
     verdict = decide(a, b)
     report = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
         "inputs": [args.path_a, args.path_b],
         "verdict": _verdict_object(verdict),
     }
-    _emit(report, args.output)
-    return 0 if verdict.equivalent else 1
+    return report, 0 if verdict.equivalent else 1
 
 
-def cmd_canon(args: argparse.Namespace) -> int:
-    command = "canon"
-    pair = _load_valid_pair(command, args.path, args.output)
-    if pair is None:
-        return 2
-    try:
-        form = canonical_form(pair, args.mode)
-    except CanonicalFormError as exc:
-        _emit(_error_report(command, "size", exc), args.output)
-        return 2
+def cmd_canon(args: argparse.Namespace) -> tuple[dict, int]:
+    form = canonical_form(_load_valid_pair(args.path), args.mode)
+    return {"mode": args.mode, "canonical_form": form}, 0
+
+
+def cmd_census(args: argparse.Namespace) -> tuple[dict, int]:
+    doc = parse_document(_read(args.poset))
+    spec = CensusSpec(
+        poset=doc.poset,
+        k=args.k,
+        entry_bound=args.bound,
+        dedup=args.dedup,
+        budget=args.budget,
+    )
+    result = enumerate_census(spec)
     report = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "mode": args.mode,
-        "canonical_form": form,
-    }
-    _emit(report, args.output)
-    return 0
-
-
-def cmd_census(args: argparse.Namespace) -> int:
-    command = "census"
-    try:
-        doc = parse_document(_read(args.poset))
-    except DocumentError as exc:
-        _emit(_error_report(command, "document", exc), args.output)
-        return 2
-    try:
-        spec = CensusSpec(
-            poset=doc.poset,
-            k=args.k,
-            entry_bound=args.bound,
-            dedup=args.dedup,
-            budget=args.budget,
-        )
-        result = enumerate_census(spec)
-    except BudgetExceededError as exc:
-        report = _error_report(command, "budget", exc)
-        report["error"]["estimate"] = exc.estimate
-        report["error"]["budget"] = exc.budget
-        _emit(report, args.output)
-        return 2
-    except CensusError as exc:
-        _emit(_error_report(command, "census", exc), args.output)
-        return 2
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
         "k": args.k,
         "entry_bound": args.bound,
         "dedup": args.dedup,
@@ -264,22 +235,14 @@ def cmd_census(args: argparse.Namespace) -> int:
             "euler_count": result.euler_count,
         },
     }
-    _emit(report, args.output)
-    return 0
+    return report, 0
 
 
-def cmd_localcheck(args: argparse.Namespace) -> int:
-    command = "localcheck"
-    try:
-        result = run_local_checks(
-            args.n, args.k, args.m, samples=args.samples, seed=args.seed
-        )
-    except LocalModelError as exc:
-        _emit(_error_report(command, "usage", exc), args.output)
-        return 2
-    report = {"schema": SCHEMA_VERSION, "command": command, **result}
-    _emit(report, args.output)
-    return 0 if result["passed"] else 1
+def cmd_localcheck(args: argparse.Namespace) -> tuple[dict, int]:
+    result = run_local_checks(
+        args.n, args.k, args.m, samples=args.samples, seed=args.seed
+    )
+    return result, 0 if result["passed"] else 1
 
 
 @functools.cache
@@ -340,23 +303,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
-        _emit(_error_report(exc.command, "usage", exc), None)
+        _emit(_error_report(exc.command, exc), None)
         return 2
     try:
-        return args.func(args)
+        try:
+            body, code = args.func(args)
+            report = {"schema": SCHEMA_VERSION, "command": args.command, **body}
+        except _REFUSALS as exc:
+            report, code = _error_report(args.command, exc), 2
+        _emit(report, args.output)
+        return code
     except OSError as exc:
         # An input that cannot be read, or --output that cannot be written.
         # The report goes to --output when it can, and to stdout once.
-        report = _error_report(args.command, "io", exc)
+        report = _error_report(args.command, exc)
         try:
             _emit(report, args.output)
         except OSError:
             _emit(report, None)
         return 2
     except Exception as exc:  # last resort: keep the JSON-report contract
-        report = _error_report(args.command, "internal", exc)
-        report["error"]["exception"] = type(exc).__name__
-        _emit(report, None)
+        _emit(_error_report(args.command, exc), None)
         return 2
 
 

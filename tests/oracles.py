@@ -16,6 +16,10 @@ the weak key on every member of every strong orbit,
 earlier Hermite reduction, kept as it was: a pivot search through ``min``
 with a key per Euclidean step.
 
+``count_primitive_vectors_in_box_reference`` is the earlier label-box
+count, kept as it was: one sieve for mu over the whole range up to the
+bound.
+
 ``solve_unimodular_reference`` is the earlier torus-automorphism solver,
 kept as it was: sign enumeration with back-substitution at full rank, and
 saturate, extend and recurse below it.  Where the sources have full rank
@@ -462,6 +466,24 @@ def _is_unit_block(h) -> bool:
     return all(
         x == (1 if i == j else 0) for i, row in enumerate(h) for j, x in enumerate(row)
     )
+
+
+def count_primitive_vectors_in_box_reference(k: int, bound: int) -> int:
+    """The number of primitive sign-canonical vectors in [-bound, bound]^k,
+    by Moebius inversion over the gcd d of the entries, with mu sieved up
+    to the bound."""
+    mu = [1] * (bound + 1)
+    seen = bytearray(bound + 1)  # multiples of a prime already sieved
+    for p in range(2, bound + 1):
+        if seen[p]:
+            continue
+        for m in range(p, bound + 1, p):
+            seen[m] = 1
+            mu[m] = -mu[m]
+        for m in range(p * p, bound + 1, p * p):
+            mu[m] = 0
+    total = sum(mu[d] * ((2 * (bound // d) + 1) ** k - 1) for d in range(1, bound + 1))
+    return total // 2
 
 
 def census_bruteforce(poset, k: int, vocab: Sequence[tuple[int, ...]]) -> list[tuple]:

@@ -32,6 +32,7 @@ from lstorus.fixtures import (
 
 from oracles import (
     census_bruteforce,
+    count_primitive_vectors_in_box_reference,
     census_classes_pairwise,
     deduplicate_reference,
     enumerate_labelings_reference,
@@ -58,6 +59,19 @@ def test_count_primitive_vectors_in_box_matches_the_box():
             assert got == len(primitive_vectors_in_box(k, bound)), (k, bound)
     with pytest.raises(CensusError):
         count_primitive_vectors_in_box(2, 0)
+
+
+def test_count_primitive_vectors_in_box_matches_the_full_sieve():
+    # Both sides of the bound^(2/3) split of the Mertens function, and the
+    # blocks of equal bound // d, against one sieve up to the bound.
+    for k in (1, 2, 3, 5):
+        for bound in [*range(1, 300), 1000, 4321]:
+            expected = count_primitive_vectors_in_box_reference(k, bound)
+            assert count_primitive_vectors_in_box(k, bound) == expected, (k, bound)
+    for bound in (10 ** 5, 10 ** 6):
+        for k in (1, 2, 3):
+            expected = count_primitive_vectors_in_box_reference(k, bound)
+            assert count_primitive_vectors_in_box(k, bound) == expected, (k, bound)
 
 
 @pytest.mark.parametrize("bound", [1, 2])

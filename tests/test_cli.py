@@ -249,6 +249,7 @@ def test_census_bound_zero_is_error(capsys):
         "0",
     )
     assert code == 2
+    assert report["error"]["type"] == "census"
 
 
 def test_census_budget_exceeded(capsys):
@@ -313,6 +314,33 @@ def test_census_budget_refused_before_the_box_is_built(capsys):
     assert code == 2
     assert report["error"]["type"] == "budget"
     assert report["error"]["estimate"] == 2329548032 ** 4
+
+
+def test_census_refusal_at_a_large_bound_is_quick(capsys):
+    # Counting the box must not sieve up to the bound: at B = 10^7 a full
+    # sieve took seconds and a hundred megabytes before the refusal.
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys, "census", "--poset", str(FIXTURES / "cube2.json"), "--k", "2", "--bound", "10000000"
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert report["error"]["type"] == "budget"
+    assert report["error"]["estimate"] == 121585425708968 ** 4
+
+
+def test_census_on_the_line_ignores_the_bound(capsys):
+    # k = 1 has one label, (1,), whatever the bound; nothing walks [-B, B].
+    argv = ["census", "--poset", str(FIXTURES / "simplex1.json"), "--k", "1"]
+    code, small = run_cli(capsys, *argv, "--bound", "1")
+    assert code == 0
+    start = time.perf_counter()
+    code, large = run_cli(capsys, *argv, "--bound", "10000000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert large.pop("entry_bound") == 10000000
+    assert small.pop("entry_bound") == 1
+    assert large == small
 
 
 def test_census_more_facets_than_recursion_limit(capsys, tmp_path):
@@ -531,6 +559,7 @@ def test_localcheck_bad_dimensions(capsys):
         capsys, "localcheck", "--n", "3", "--k", "2", "--m", "0"
     )
     assert code == 2
+    assert report["error"]["type"] == "usage"
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):
@@ -772,3 +801,100 @@ def test_oversized_json_is_a_document_error(capsys, tmp_path, reader, bad):
     assert report["command"] == reader.partition("-")[0]
     assert report["error"]["type"] == "document"
     assert report["error"]["message"].startswith("JSON parse error")
+
+
+def _write_error_inputs(directory: Path) -> None:
+    """The input files of _ERROR_CASES, written into ``directory``."""
+    from lstorus.fixtures import cube_poset
+    from lstorus.lattice import PrimitiveVector
+
+    bad_labels = square_pair([(1, 0), (0, 1), (2, 1), (0, 1)])
+    bad_poset = json.loads(serialize_pair(square_pair([(1, 0), (0, 1), (1, 0), (0, 1)])))
+    bad_poset["covers"].remove(["V0", "E0"])
+    poset = cube_poset(4)
+    axes = {f: next(i for i, part in enumerate(f.split("|")) if part != "T") for f in poset.facets()}
+    big = CharacteristicPair(
+        poset, 4, {f: PrimitiveVector(tuple(int(j == a) for j in range(4))) for f, a in axes.items()}
+    )
+    files = {
+        "broken.json": '{"k": 2,,}',
+        "bad-labels.json": serialize_pair(bad_labels),
+        "bad-poset.json": json.dumps(bad_poset),
+        "bad-poset-only.json": json.dumps({k: v for k, v in bad_poset.items() if k != "lambda"}),
+        "big.json": serialize_pair(big),
+        "square.json": serialize_poset(square_poset()),
+    }
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+_CP1 = str(FIXTURES / "cp1.json")
+_CENSUS = ["census", "--poset", "square.json", "--k", "2", "--bound", "1"]
+_LOCALCHECK = ["localcheck", "--n", "1", "--k", "2", "--m", "1", "--samples", "5"]
+
+# (subcommand, error kind, command line) for every error kind that each
+# subcommand can report; inputs are named relative to the input directory.
+_ERROR_CASES = [
+    ("validate", "document", ["validate", "broken.json"]),
+    ("iso", "document", ["iso", "broken.json", _CP1]),
+    ("iso", "document", ["iso", _CP1, "broken.json"]),
+    ("iso", "document", ["iso", _CP1, "square.json"]),
+    ("canon", "document", ["canon", "broken.json"]),
+    ("census", "document", ["census", "--poset", "broken.json", "--k", "2", "--bound", "1"]),
+    ("iso", "invalid-input", ["iso", "bad-poset.json", _CP1]),
+    ("iso", "invalid-input", ["iso", _CP1, "bad-labels.json"]),
+    ("canon", "invalid-input", ["canon", "bad-poset.json"]),
+    ("canon", "invalid-input", ["canon", "bad-labels.json"]),
+    ("canon", "size", ["canon", "big.json", "--mode", "weak"]),
+    ("census", "census", _CENSUS[:-1] + ["0"]),
+    ("census", "census", ["census", "--poset", "square.json", "--k", "0", "--bound", "1"]),
+    ("census", "census", _CENSUS + ["--budget", "0"]),
+    ("census", "census", ["census", "--poset", "bad-poset-only.json", "--k", "2", "--bound", "1"]),
+    ("census", "budget", ["census", "--poset", "square.json", "--k", "4", "--bound", "12"]),
+    ("localcheck", "usage", ["localcheck", "--n", "3", "--k", "2", "--m", "0"]),
+    ("census", "usage", ["census", "--poset", "square.json", "--bound", "1"]),
+    ("validate", "io", ["validate", "missing.json"]),
+    ("iso", "io", ["iso", _CP1, "missing.json"]),
+    ("canon", "io", ["canon", "missing.json"]),
+    ("census", "io", ["census", "--poset", "missing.json", "--k", "2", "--bound", "1"]),
+    ("validate", "internal", ["validate", _CP1]),
+    ("localcheck", "internal", _LOCALCHECK),
+]
+
+
+@pytest.mark.parametrize(
+    "command, kind, argv", _ERROR_CASES, ids=[f"{c}-{k}-{i}" for i, (c, k, _) in enumerate(_ERROR_CASES)]
+)
+def test_every_error_kind_on_every_subcommand(capsys, monkeypatch, tmp_path, command, kind, argv):
+    import lstorus.cli as cli
+    from lstorus.charpair import CharPairError
+    from lstorus.lattice import LatticeError
+
+    def fail(error):
+        def raise_it(*args, **kwargs):
+            raise error("forced")
+        return raise_it
+
+    if kind == "internal":
+        # Exceptions that no subcommand expects, not only bare ones.
+        monkeypatch.setattr(cli, "validate_characteristic", fail(CharPairError))
+        monkeypatch.setattr(cli, "run_local_checks", fail(LatticeError))
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    _write_error_inputs(inputs)
+    monkeypatch.chdir(inputs)
+    out = tmp_path / "report.json"
+    code = main(argv + ["--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["schema"] == 1
+    assert report["command"] == command
+    assert report["error"]["type"] == kind
+    assert str(tmp_path) not in captured.out
+    parsed = command != "census" or "--k" in argv
+    if kind == "internal" or not parsed:  # stdout only
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == captured.out.encode("utf-8")
