@@ -44,7 +44,6 @@ from .faceposet import FacePoset, PosetError, ValidityReport, Violation, validat
 from .lattice import (
     LatticeError,
     PrimitiveVector,
-    Subtorus,
     UnimodularSolution,
     hnf,
     is_direct_summand,
@@ -95,7 +94,6 @@ __all__ = [
     "PrimitiveVector",
     "SmoothMapSpec",
     "SmoothnessReport",
-    "Subtorus",
     "TorusMap",
     "UnimodularSolution",
     "ValidityReport",

@@ -10,8 +10,10 @@ Every question about A @ m @ D, with A in GL(k, Z) and D a diagonal +-1
 matrix, goes through one normal form (``gl_sign_normal_form``): the census
 weak key, the weak canonical form, and ``solve_unimodular``, which finds
 the weak decider's torus automorphism.
-``snf_diagonal`` is kept as public API only, and ``det_int`` (Bareiss) is
-the independent check behind witness re-verification.
+``snf_diagonal`` alternates row and column passes of the same Hermite
+routine, and ``saturate`` returns the Hermite basis of a primitive closure,
+which is how a subtorus of the k-torus is written here.  ``det_int``
+(Bareiss) is the independent check behind witness re-verification.
 
 Conventions fixed here and asserted throughout the package:
 
@@ -31,7 +33,7 @@ import itertools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 Row = tuple[int, ...]
@@ -276,63 +278,19 @@ def snf_diagonal(m: Matrix) -> list[int]:
     """Diagonal of the Smith normal form, nonnegative, each dividing the next.
 
     Invariant under multiplication by unimodular matrices on either side.
+    Row Hermite passes alternate with column ones (a row pass on the
+    transpose) until no entry is left off the diagonal (Kannan and Bachem,
+    SIAM J. Comput. 1979).  One pairwise pass then puts the diagonal in a
+    divisibility chain: diag(a, b) and diag(gcd, lcm) present the same
+    quotient group, and zeros move to the end.
     """
-    m = as_matrix(m)
-    a = [list(r) for r in m]
-    nrows, ncols = len(a), len(a[0])
-    size = min(nrows, ncols)
-
-    def reduce_at(t: int) -> None:
-        while True:
-            # Move a minimal nonzero entry of the trailing block to (t, t).
-            best = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                return
-            bi, bj = best
-            if bi != t:
-                a[t], a[bi] = a[bi], a[t]
-            if bj != t:
-                for row in a:
-                    row[t], row[bj] = row[bj], row[t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        dirty = True
-            if not dirty:
-                return
-
-    for t in range(size):
-        reduce_at(t)
-    diag = [abs(a[t][t]) for t in range(size)]
-    # Enforce the divisibility chain; diag(a, b) and diag(gcd, lcm) present
-    # the same quotient group, and zeros sort to the end.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(size):
-            for j in range(i + 1, size):
-                di, dj = diag[i], diag[j]
-                if di == 0 and dj != 0:
-                    diag[i], diag[j] = dj, 0
-                    changed = True
-                elif di != 0 and dj % di != 0:
-                    g = gcd(di, dj)
-                    diag[i], diag[j] = g, di * dj // g
-                    changed = True
+    a = _hnf_rows(as_matrix(m))
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a = _hnf_rows(transpose(a))
+    diag = [a[t][t] for t in range(min(len(a), len(a[0])))]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     return diag
 
 
@@ -396,94 +354,20 @@ def right_kernel_basis(m: Matrix) -> Matrix:
     return tuple(urow for hrow, urow in zip(h, u) if not any(hrow))
 
 
-@dataclass(frozen=True)
-class Subtorus:
-    """A primitive (saturated) sublattice of Z^k in canonical Hermite basis.
-
-    Encodes a subtorus of the k-torus; equality of canonical bases is
-    equality of subtori.  ``rank == 0`` encodes the trivial subtorus.  The
-    constructor raises ``LatticeError`` unless the basis is the nonzero rows
-    of a Hermite normal form (see ``hnf``) and spans a direct summand.
-    """
-
-    k: int
-    basis: Matrix
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise LatticeError("ambient rank must be positive")
-        if isinstance(self.basis, Sequence) and not self.basis:
-            object.__setattr__(self, "basis", ())
-            return
-        basis = as_matrix(self.basis)
-        if len(basis[0]) != self.k:
-            raise LatticeError("basis width differs from ambient rank")
-        if not _is_hermite_basis(basis):
-            raise LatticeError(f"basis {basis} is not a Hermite basis without zero rows")
-        if not is_direct_summand(basis):
-            raise LatticeError(f"basis {basis} spans a sublattice that is not saturated")
-        object.__setattr__(self, "basis", basis)
-
-    @classmethod
-    def trivial(cls, k: int) -> "Subtorus":
-        return cls(k=k, basis=())
-
-    @classmethod
-    def full(cls, k: int) -> "Subtorus":
-        return cls(k=k, basis=identity(k))
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def contains_vector(self, v: Sequence[int]) -> bool:
-        return span_contains_vector(self.basis, tuple(v))
-
-
-def _is_hermite_basis(rows: Matrix) -> bool:
-    """True when rows are the nonzero rows of a Hermite normal form: pivots
-    positive and strictly to the right row by row, every entry above a pivot
-    in [0, pivot).  A check of the shape, with no reduction."""
-    last = -1
-    for r, row in enumerate(rows):
-        c = next((j for j, x in enumerate(row) if x), -1)
-        if c <= last or row[c] < 0:
-            return False
-        if any(not 0 <= above[c] < row[c] for above in rows[:r]):
-            return False
-        last = c
-    return True
-
-
-def span_contains_vector(echelon_basis: Matrix, v: Row) -> bool:
-    """Membership of v in the row span of an HNF (row echelon) basis."""
-    w = list(v)
-    for row in echelon_basis:
-        pc = next(j for j, x in enumerate(row) if x)
-        q, rem = divmod(w[pc], row[pc])
-        if rem:
-            return False
-        if q:
-            w = [x - q * y for x, y in zip(w, row)]
-    return not any(w)
-
-
-def saturate(m: Matrix) -> Subtorus:
-    """Primitive closure of the row span, as a canonical Subtorus.
+def saturate(m: Matrix) -> Matrix:
+    """Primitive closure of the row span, as its canonical Hermite basis.
 
     Computed as the integer kernel of the integer kernel, which lands on the
-    saturation directly; idempotent by construction.
+    saturation directly; idempotent by construction.  Two row sets have the
+    same saturation exactly when they get the same basis.
     """
     m = as_matrix(m)
     if not any(any(row) for row in m):
         raise LatticeError("cannot saturate the zero lattice")
-    k = len(m[0])
     ker = right_kernel_basis(m)
     if not ker:
-        return Subtorus.full(k)
-    sat = right_kernel_basis(ker)
-    # The constructor checks that the basis spans a direct summand.
-    return Subtorus(k=k, basis=hnf_basis(sat))
+        return identity(len(m[0]))
+    return hnf_basis(right_kernel_basis(ker))
 
 
 def canonical_sign(v: Sequence[int]) -> Row:
@@ -504,7 +388,11 @@ class PrimitiveVector:
     coords: Row
 
     def __init__(self, coords: Sequence[int]):
-        t = tuple(int(x) for x in coords)
+        t = tuple(coords)
+        for x in t:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise LatticeError(f"non-integer entry {x!r}")
+        t = tuple(int(x) for x in t)
         if not t or not any(t):
             raise LatticeError("primitive vector must be nonzero")
         g = 0
@@ -520,9 +408,6 @@ class PrimitiveVector:
     @property
     def k(self) -> int:
         return len(self.coords)
-
-    def subtorus(self) -> Subtorus:
-        return saturate((self.coords,))
 
 
 def apply_auto(a: Matrix, v: PrimitiveVector) -> PrimitiveVector:

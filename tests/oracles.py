@@ -38,8 +38,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from sympy import ZZ
 from sympy import Matrix as SymMatrix
-from sympy.matrices.normalforms import hermite_normal_form
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from lstorus.census import CensusClass, primitive_vectors_in_box
 from lstorus.lattice import (
@@ -160,6 +161,12 @@ def column_hnf_key(rows: Sequence[Sequence[int]]) -> tuple:
         return ("zero", m.shape)
     h = hermite_normal_form(m)
     return tuple(tuple(int(x) for x in h.row(i)) for i in range(h.rows))
+
+
+def smith_diagonal_reference(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The Smith normal form diagonal as sympy computes it, signs dropped."""
+    s = smith_normal_form(SymMatrix([list(r) for r in rows]), domain=ZZ)
+    return [abs(int(s[i, i])) for i in range(min(s.shape))]
 
 
 def rational_coords(
@@ -345,10 +352,10 @@ def solve_unimodular_reference(
 
     sat_s = saturate(s_rows)
     sat_d = saturate(d_rows)
-    if sat_d.rank != r:
+    if len(sat_d) != r:
         return None
-    cs = [_coords_in_basis(sat_s.basis, v) for v in s_rows]
-    cd = [_coords_in_basis(sat_d.basis, v) for v in d_rows]
+    cs = [_coords_in_basis(sat_s, v) for v in s_rows]
+    cd = [_coords_in_basis(sat_d, v) for v in d_rows]
     if any(c is None for c in cs + cd):
         raise RuntimeError("internal: a label lies outside its saturation")
     sub = solve_unimodular_reference(
@@ -357,8 +364,8 @@ def solve_unimodular_reference(
     if sub is None:
         return None
     g_row = transpose(sub.matrix)
-    p = _extend_saturated(sat_s.basis)
-    q = _extend_saturated(sat_d.basis)
+    p = _extend_saturated(sat_s)
+    q = _extend_saturated(sat_d)
     block = tuple(
         tuple(
             (g_row[i][jj] if i < r and jj < r else (1 if i == jj else 0))

@@ -221,7 +221,7 @@ def test_rename_faces_roundtrip():
 def test_half_plane_pair():
     cp = half_plane_pair()
     assert validate_characteristic(cp).valid
-    assert saturate(cp.star_matrix("E")).rank == 1
+    assert len(saturate(cp.star_matrix("E"))) == 1
 
 
 def test_attestations_parsing():
