@@ -7,7 +7,9 @@ no finite bound can be complete, so census counts are always relative to B.
 The budget compares |box|^(number of facets) with the spec's budget before
 any enumeration; |box| is counted by Moebius inversion, not listed, in
 O(B^(2/3)) steps, so even a bound of 10^9 is refused in about a second.
-At k = 1 the box is {(1,)} whatever B is, and nothing walks the line.
+Listing the box walks its (2B+1)^k points, so for k >= 2 and at least one
+facet that number is held to the budget as well.  At k = 1 the box is
+{(1,)} whatever B is, and nothing walks the line.
 
 Enumeration is exact backtracking facet by facet, in an order compatible
 with the face ordering by reverse inclusion.  The labels allowed at a facet
@@ -16,8 +18,11 @@ completes, of the labels that make that face pass the direct-summand test
 given the labels already on its other facets.  One Hermite reduction of
 those labels decides every label of the box at once: they must span a
 summand, and a label passes when its coordinates in the quotient of Z^k by
-their span have gcd 1.  The masks are memoised on the other facets' labels,
-so a branch is cut the moment no label fits.
+their span have gcd 1.  A branch is cut the moment no label fits.  Each
+face reads its other facets' box indices through an ``itemgetter`` built
+at set-up; the masks are memoised on that raw key first and on the sorted
+index tuple second, so each multiset of labels costs one reduction and no
+search node sorts anything.
 Results are deterministic: identical inputs give identical outputs.
 
 Deduplication works on orbits of the poset's automorphism group Aut(P),
@@ -209,16 +214,21 @@ def enumerate_labelings(spec: CensusSpec) -> list[Labeling]:
     """All valid labelings in lexicographic vocabulary order.
 
     A face is checked at the position of its last facet.  Whether it passes
-    depends only on the vocabulary indices on its facet star, so for each
-    sorted tuple of indices on its other facets an ``int`` bitmask records
-    which vocabulary indices pass the summand test there.  The candidates at
-    a position are the AND of the masks of the faces checked there; a face
-    with more than k facets leaves none.  Masks are filled lazily, each from
-    one Hermite reduction of the other facets' labels
-    (``lattice.summand_extension_mask``), and memoised.  The depth-first
-    search walks set bits upward, so the output keeps the vocabulary order,
-    and keeps an explicit stack, so posets with more facets than the
-    recursion limit are fine.
+    depends only on the vocabulary indices on its facet star, so an ``int``
+    bitmask per multiset of indices on its other facets records which
+    vocabulary indices pass the summand test there.  The candidates at a
+    position are the AND of the masks of the faces checked there; a face
+    with more than k facets leaves none, and a face whose only facet is the
+    current one is skipped, since every box vector is primitive.  Every
+    other face gets, at set-up, an ``operator.itemgetter`` of its other
+    facets' positions, which reads their indices off the chosen ones: an
+    index, or a tuple in position order.  Masks are memoised on that raw
+    key; on a miss the sorted index tuple is looked up, and only when it is
+    new too does one Hermite reduction of the other facets' labels
+    (``lattice.summand_extension_mask``) fill it.  The depth-first search
+    walks set bits upward, so the output keeps the vocabulary order, keeps
+    the label prefix of each depth as a tuple, and keeps an explicit stack,
+    so posets with more facets than the recursion limit are fine.
     """
     poset = spec.poset
     ext = poset.linear_extension()
@@ -227,9 +237,10 @@ def enumerate_labelings(spec: CensusSpec) -> list[Labeling]:
         return [()]
     vocab = [v.coords for v in primitive_vectors_in_box(spec.k, spec.entry_bound)]
     pos = {f: i for i, f in enumerate(facets)}
-    # Per position, the other facets of each face checked there; None when
-    # one of those faces has more facets than the torus rank.
-    check_at: list[Optional[list[list[int]]]] = [[] for _ in facets]
+    # Per position, a getter of the other facets' indices for each face
+    # checked there; None when one of those faces has more facets than the
+    # torus rank.
+    check_at: list[Optional[list[itemgetter]]] = [[] for _ in facets]
     for f in poset.ids():
         star = poset.facets_containing(f)
         if not star:
@@ -238,49 +249,60 @@ def enumerate_labelings(spec: CensusSpec) -> list[Labeling]:
         last = positions.pop()
         if len(star) > spec.k:
             check_at[last] = None
-        elif check_at[last] is not None:
-            check_at[last].append(positions)
+        elif positions and check_at[last] is not None:
+            check_at[last].append(itemgetter(*positions))
 
-    masks: dict[tuple[int, ...], int] = {}
+    # Keyed by a getter's raw output and by sorted index tuples alike: both
+    # name a multiset of indices, and an int j names the same one as (j,).
+    masks: dict[object, int] = {}
+
+    def mask_of(raw: object) -> int:
+        key = (raw,) if isinstance(raw, int) else tuple(sorted(raw))
+        mask = masks.get(key)
+        if mask is None:
+            mask = masks[key] = summand_extension_mask(
+                tuple(vocab[x] for x in key), vocab
+            )
+        masks[raw] = mask
+        return mask
 
     last = len(facets) - 1
     chosen = [0] * last  # vocabulary index per facet above the last
     everything = (1 << len(vocab)) - 1
 
     def candidates(i: int) -> int:
-        faces = check_at[i]
-        if faces is None:
+        getters = check_at[i]
+        if getters is None:
             return 0
         allowed = everything
-        for others in faces:
-            key = tuple(sorted([chosen[p] for p in others]))
-            mask = masks.get(key)
-            if mask is None:
-                mask = masks[key] = summand_extension_mask(
-                    tuple(vocab[x] for x in key), vocab
-                )
-            allowed &= mask
+        for getter in getters:
+            raw = getter(chosen)
+            mask = masks.get(raw)
+            allowed &= mask_of(raw) if mask is None else mask
             if not allowed:
                 break
         return allowed
 
+    single = [(v,) for v in vocab]
     out: list[Labeling] = []
+    prefix: list[Labeling] = [()] * len(facets)  # labels before each position
     untried = [0] * len(facets)  # candidate bits per position not yet tried
     untried[0] = candidates(0)
     i = 0
     while i >= 0:
         bits = untried[i]
         if i == last:
-            prefix = tuple(vocab[j] for j in chosen)
+            head = prefix[i]
             while bits:
                 low = bits & -bits
                 bits ^= low
-                out.append(prefix + (vocab[low.bit_length() - 1],))
+                out.append(head + single[low.bit_length() - 1])
             i -= 1
         elif bits:
             low = bits & -bits
             untried[i] = bits ^ low
-            chosen[i] = low.bit_length() - 1
+            j = chosen[i] = low.bit_length() - 1
+            prefix[i + 1] = prefix[i] + single[j]
             i += 1
             untried[i] = candidates(i)
         else:
@@ -309,6 +331,13 @@ def enumerate_census(spec: CensusSpec) -> CensusResult:
     estimate = box ** len(facets)
     if estimate > spec.budget:
         raise BudgetExceededError(estimate, spec.budget)
+    # Listing the box walks all (2B+1)^k points, which can exceed the budget
+    # when there are few facets.  Nothing walks the line at k = 1, nor the
+    # box of a facet-free poset.
+    if facets and spec.k >= 2:
+        walk = (2 * spec.entry_bound + 1) ** spec.k
+        if walk > spec.budget:
+            raise BudgetExceededError(walk, spec.budget)
 
     labelings = enumerate_labelings(spec)
     classes = _deduplicate(

@@ -22,9 +22,11 @@ from lstorus.classify import canonical_form
 from lstorus.faceposet import FacePoset
 from lstorus.fixtures import (
     cube_poset,
+    half_plane_poset,
     pentagon_poset,
     polygon_poset,
     prism_poset,
+    product_poset,
     simplex_poset,
     square_poset,
     triangle_poset,
@@ -155,16 +157,48 @@ def _star_poset(n):
         # quotient of rank 2 or more.
         (square_poset(), 3, 1),
         (triangle_poset(), 4, 1),
+        # The 3-cube as a product: the other facets of different faces reach
+        # the same label sets in different position orders.
+        (product_poset(square_poset(), simplex_poset(1)), 3, 1),
     ],
     ids=[
         "prism", "simplex3", "pentagon-B3", "hexagon-B2", "square-B4", "square-B3",
         "pentagon-B2", "hexagon-B1", "triangle", "star6", "square-k1", "no-facets",
-        "star1500", "square-k3", "triangle-k4",
+        "star1500", "square-k3", "triangle-k4", "cube3-product",
     ],
 )
 def test_enumerate_labelings_matches_reference(poset, k, bound):
     spec = CensusSpec(poset, k, bound)
     assert enumerate_labelings(spec) == enumerate_labelings_reference(spec)
+
+
+@pytest.mark.parametrize(
+    "poset,k,bound,reductions",
+    [
+        (prism_poset(), 3, 1, 82),
+        (simplex_poset(3), 3, 1, 82),
+        (pentagon_poset(), 2, 3, 16),
+        (polygon_poset(6), 2, 2, 8),
+        (product_poset(square_poset(), simplex_poset(1)), 3, 1, 82),
+    ],
+    ids=["prism", "simplex3", "pentagon-B3", "hexagon-B2", "cube3-product"],
+)
+def test_enumerate_labelings_reduces_each_label_multiset_once(
+    monkeypatch, poset, k, bound, reductions
+):
+    # One Hermite reduction per distinct non-empty multiset of labels on a
+    # face's other facets, whatever order the facets come in; a face whose
+    # only facet is the current one needs none.
+    calls = []
+    extension_mask = census.summand_extension_mask
+    monkeypatch.setattr(
+        census,
+        "summand_extension_mask",
+        lambda rows, vectors: calls.append(rows) or extension_mask(rows, vectors),
+    )
+    enumerate_labelings(CensusSpec(poset, k, bound))
+    assert all(calls)
+    assert len({tuple(sorted(rows)) for rows in calls}) == len(calls) == reductions
 
 
 def _classes_by_canonical_form(spec, result, labelings):
@@ -413,6 +447,27 @@ def test_census_budget_guard():
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_census(spec)
     assert exc.value.estimate == 8 ** 4
+
+
+def test_census_budget_counts_the_box_walk():
+    # One facet: the box's 48,928 labels pass the box^facets check, but
+    # listing the box walks 401^2 points, more than the budget.
+    spec = CensusSpec(half_plane_poset(), 2, 200, budget=10 ** 5)
+    assert count_primitive_vectors_in_box(2, 200) <= spec.budget
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_census(spec)
+    assert exc.value.estimate == 401 ** 2
+    # The box^facets check comes first and keeps its estimate.
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_census(CensusSpec(half_plane_poset(), 2, 200, budget=10))
+    assert exc.value.estimate == count_primitive_vectors_in_box(2, 200)
+    # At k = 1 nothing walks the line, so the bound costs nothing.
+    result = enumerate_census(CensusSpec(half_plane_poset(), 1, 10 ** 6, budget=10))
+    assert result.total_valid == 1
+    # Nor does a facet-free poset list the box.
+    bare = FacePoset([("T", 0)], [], 3)
+    result = enumerate_census(CensusSpec(bare, 2, 10 ** 6, budget=10))
+    assert result.total_valid == 1
 
 
 def test_census_rejects_bad_spec():

@@ -329,6 +329,19 @@ def test_census_refusal_at_a_large_bound_is_quick(capsys):
     assert report["error"]["estimate"] == 121585425708968 ** 4
 
 
+def test_census_refuses_a_box_walk_over_budget(capsys):
+    # One facet: about 4.9e8 labels pass the box^facets check, but listing
+    # them walks 40001^2 = 1.6e9 points of the box.
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys, "census", "--poset", str(FIXTURES / "half_plane.json"), "--k", "2", "--bound", "20000"
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert report["error"]["type"] == "budget"
+    assert report["error"]["estimate"] == 40001 ** 2
+
+
 def test_census_on_the_line_ignores_the_bound(capsys):
     # k = 1 has one label, (1,), whatever the bound; nothing walks [-B, B].
     argv = ["census", "--poset", str(FIXTURES / "simplex1.json"), "--k", "1"]
