@@ -11,18 +11,17 @@ Listing the box walks its (2B+1)^k points, so for k >= 2 and at least one
 facet that number is held to the budget as well.  At k = 1 the box is
 {(1,)} whatever B is, and nothing walks the line.
 
-Enumeration is exact backtracking facet by facet, in an order compatible
-with the face ordering by reverse inclusion.  The labels allowed at a facet
-are a bitmask over the box: the AND, over the faces that the facet
-completes, of the labels that make that face pass the direct-summand test
-given the labels already on its other facets.  One Hermite reduction of
-those labels decides every label of the box at once: they must span a
-summand, and a label passes when its coordinates in the quotient of Z^k by
-their span have gcd 1.  A branch is cut the moment no label fits.  Each
-face reads its other facets' box indices through an ``itemgetter`` built
-at set-up; the masks are memoised on that raw key first and on the sorted
-index tuple second, so each multiset of labels costs one reduction and no
-search node sorts anything.
+Enumeration is exact backtracking facet by facet, in facet-id order.  The
+labels allowed at a facet are a bitmask over the box: the AND, over the
+faces that the facet completes, of the labels that make that face pass the
+direct-summand test given the labels already on its other facets.  One
+Hermite reduction of those labels decides every label of the box at once:
+they must span a summand, and a label passes when its coordinates in the
+quotient of Z^k by their span have gcd 1.  A branch is cut the moment no
+label fits.  Each face reads its other facets' box indices through an
+``itemgetter`` built at set-up; the masks are memoised on that raw key
+first and on the sorted index tuple second, so each multiset of labels
+costs one reduction and no search node sorts anything.
 Results are deterministic: identical inputs give identical outputs.
 
 Deduplication works on orbits of the poset's automorphism group Aut(P),
@@ -88,19 +87,13 @@ def primitive_vectors_in_box(k: int, bound: int) -> list[PrimitiveVector]:
         raise CensusError("need k >= 1 and bound >= 1 for a nonempty label box")
     if k == 1:
         return [PrimitiveVector((1,))]  # the only one on the line
-    out = []
-    for t in itertools.product(range(-bound, bound + 1), repeat=k):
-        if not any(t):
-            continue
-        g = 0
-        for x in t:
-            g = gcd(g, x)
-        if g != 1:
-            continue
-        v = PrimitiveVector(t)
-        if v.coords == t:
-            out.append(v)
-    return sorted(out, key=lambda v: v.coords)
+    # product walks the box in sorted order; keep each primitive point whose
+    # first nonzero entry is positive.
+    return [
+        PrimitiveVector(t)
+        for t in itertools.product(range(-bound, bound + 1), repeat=k)
+        if gcd(*t) == 1 and next(x for x in t if x) > 0
+    ]
 
 
 def count_primitive_vectors_in_box(k: int, bound: int) -> int:
@@ -231,8 +224,7 @@ def enumerate_labelings(spec: CensusSpec) -> list[Labeling]:
     so posets with more facets than the recursion limit are fine.
     """
     poset = spec.poset
-    ext = poset.linear_extension()
-    facets = [f for f in ext if poset.codim(f) == 1]
+    facets = poset.facets()
     if not facets:
         return [()]
     vocab = [v.coords for v in primitive_vectors_in_box(spec.k, spec.entry_bound)]
@@ -323,8 +315,7 @@ def enumerate_census(spec: CensusSpec) -> CensusResult:
     report = spec.poset.validate()
     if not report.valid:
         raise CensusError("poset is invalid; run validation for details")
-    ext = spec.poset.linear_extension()
-    facets = tuple(f for f in ext if spec.poset.codim(f) == 1)
+    facets = tuple(spec.poset.facets())
     # Counted, not built: the box has (2B+1)^k points, too many to list
     # before a refusal when B or k is large.
     box = count_primitive_vectors_in_box(spec.k, spec.entry_bound)

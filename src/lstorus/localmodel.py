@@ -63,33 +63,27 @@ def _reduce_angle(a: float) -> float:
     return r + TWO_PI if r < 0 else r
 
 
+def _exact(values: Sequence, kind: type) -> tuple:
+    """values as a tuple of kind.  kind() runs only when some entry is not
+    exactly of that type (on such entries it would return the entry
+    itself), so computed points cost no conversions."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not kind:
+            return tuple(map(kind, values))
+    return values
+
+
 @dataclass(frozen=True)
 class ModelPoint:
-    """A point (z, t, y) of the chart; angles stored reduced mod 2*pi.
-
-    complex() and float() run only on entries not already of that exact
-    type (on those they would return the entry itself), so computed points
-    cost no conversions; every point gets the same checks.
-    """
+    """A point (z, t, y) of the chart; angles stored reduced mod 2*pi."""
 
     z: tuple[complex, ...]
     t: tuple[float, ...]
     y: tuple[float, ...]
 
     def __init__(self, z: Sequence[complex], t: Sequence[float], y: Sequence[float]):
-        z, t, y = tuple(z), tuple(t), tuple(y)
-        for v in z:
-            if type(v) is not complex:
-                z = tuple(map(complex, z))
-                break
-        for v in t:
-            if type(v) is not float:
-                t = tuple(map(float, t))
-                break
-        for v in y:
-            if type(v) is not float:
-                y = tuple(map(float, y))
-                break
+        z, t, y = _exact(z, complex), _exact(t, float), _exact(y, float)
         for v in z:
             if not cmath.isfinite(v):
                 raise LocalModelError(f"non-finite z entry {v!r}")
@@ -104,22 +98,13 @@ class ModelPoint:
 
 @dataclass(frozen=True)
 class OrbitPoint:
-    """A point of the orbit space R^n_{>=0} x R^m; float() runs only on
-    entries not already floats."""
+    """A point of the orbit space R^n_{>=0} x R^m."""
 
     x: tuple[float, ...]
     y: tuple[float, ...]
 
     def __init__(self, x: Sequence[float], y: Sequence[float]):
-        x, y = tuple(x), tuple(y)
-        for v in x:
-            if type(v) is not float:
-                x = tuple(map(float, x))
-                break
-        for v in y:
-            if type(v) is not float:
-                y = tuple(map(float, y))
-                break
+        x, y = _exact(x, float), _exact(y, float)
         for v in x:
             if v < 0:
                 raise LocalModelError(f"negative x coordinate in {x}")
@@ -219,10 +204,6 @@ class Polynomial:
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars, [])
-
-    @classmethod
-    def constant(cls, nvars: int, c: float) -> "Polynomial":
-        return cls(nvars, [((0,) * nvars, c)])
 
 
 @dataclass(frozen=True)
@@ -544,6 +525,8 @@ def model_point_distance(p: ModelPoint, q: ModelPoint) -> float:
 
 
 def orbit_point_distance(p: OrbitPoint, q: OrbitPoint) -> float:
+    if len(p.x) != len(q.x) or len(p.y) != len(q.y):
+        raise LocalModelError("points live in different charts")
     out = 0.0
     for a, b in zip(p.x + p.y, q.x + q.y):
         out = max(out, abs(a - b))
@@ -568,11 +551,12 @@ def _richardson_ladder(samples: list[float]) -> list[float]:
     return [row[-1] for row in rows]
 
 
+_BOUNDARY_STEP = 1e-2
+_BOUNDARY_LEVELS = 8
+
+
 def _boundary_derivative(
-    f: Callable[[float, tuple[float, ...]], float],
-    y: tuple[float, ...],
-    h0: float = 1e-2,
-    levels: int = 8,
+    f: Callable[[float, tuple[float, ...]], float], y: tuple[float, ...]
 ) -> float:
     """d f / d x at (0, y) for f with f(0, y) = 0, via the ratio f(h)/h.
 
@@ -581,8 +565,8 @@ def _boundary_derivative(
     h, so Richardson over a geometric ladder converges fast.
     """
     samples = []
-    h = h0
-    for _ in range(levels):
+    h = _BOUNDARY_STEP
+    for _ in range(_BOUNDARY_LEVELS):
         if h == 0.0:
             raise StepUnderflowError("step ladder underflowed")
         samples.append(f(h, y) / h)
@@ -770,19 +754,18 @@ def smoothness_probe(
 # Random generation for the verification battery.
 
 
+_MAX_TERMS = 2
+_MAX_DEGREE = 2
+
+
 def random_polynomial(
-    rng: random.Random,
-    nvars: int,
-    exclude: int = -1,
-    max_degree: int = 2,
-    max_terms: int = 2,
-    scale: float = 0.3,
+    rng: random.Random, nvars: int, exclude: int = -1, scale: float = 0.3
 ) -> Polynomial:
     terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(rng.randrange(1, _MAX_TERMS + 1)):
         exps = [0] * nvars
         if nvars > 0:
-            for _ in range(rng.randrange(0, max_degree + 1)):
+            for _ in range(rng.randrange(0, _MAX_DEGREE + 1)):
                 var = rng.randrange(nvars)
                 if var == exclude:
                     continue
@@ -844,11 +827,16 @@ def random_orbit_point(
 # ---------------------------------------------------------------------------
 # Verification battery (shared by tests and the command line).
 
-EQUIVARIANCE_TOL = 1e-9
-COVERING_TOL = 1e-9
-SECTION_TOL = 1e-9
-COMPOSITION_TOL = 1e-8
-INVERSE_TOL = 1e-7
+# Each check of run_local_checks and its tolerance on the max discrepancy.
+TOLERANCES = {
+    "trivial_spec": 0.0,
+    "equivariance": 1e-9,
+    "covering": 1e-9,
+    "boundary_zeros": 0.0,
+    "section_compat": 1e-9,
+    "composition": 1e-8,
+    "inverse": 1e-7,
+}
 
 
 def section_compat_check(
@@ -863,7 +851,11 @@ def section_compat_check(
         lhs = lift_diffeo(spec, section_point(spec, 1, q))
         rhs = section_point(spec, 2, spec.phi.apply(q))
         worst = max(worst, model_point_distance(lhs, rhs))
-    return {"max_discrepancy": worst, "samples": samples, "tolerance": SECTION_TOL}
+    return {
+        "max_discrepancy": worst,
+        "samples": samples,
+        "tolerance": TOLERANCES["section_compat"],
+    }
 
 
 def run_local_checks(
@@ -880,15 +872,7 @@ def run_local_checks(
         raise LocalModelError("need positive sample and spec counts")
     rng = random.Random(seed)
 
-    worst = {
-        "equivariance": 0.0,
-        "covering": 0.0,
-        "section_compat": 0.0,
-        "composition": 0.0,
-        "inverse": 0.0,
-        "boundary_zeros": 0.0,
-        "trivial_spec": 0.0,
-    }
+    worst = dict.fromkeys(TOLERANCES, 0.0)
     probe_orders = []
 
     ident = SmoothMapSpec.identity(n, k, m)
@@ -952,15 +936,6 @@ def run_local_checks(
             report = smoothness_probe(slice_component, 0.0, 2)
             probe_orders.append(report.stable)
 
-    checks = {
-        "trivial_spec": (worst["trivial_spec"], 0.0),
-        "equivariance": (worst["equivariance"], EQUIVARIANCE_TOL),
-        "covering": (worst["covering"], COVERING_TOL),
-        "boundary_zeros": (worst["boundary_zeros"], 0.0),
-        "section_compat": (worst["section_compat"], SECTION_TOL),
-        "composition": (worst["composition"], COMPOSITION_TOL),
-        "inverse": (worst["inverse"], INVERSE_TOL),
-    }
     report = {
         "dimensions": {"n": n, "k": k, "m": m},
         "samples": samples,
@@ -968,11 +943,11 @@ def run_local_checks(
         "seed": seed,
         "checks": {
             name: {
-                "max_discrepancy": value,
+                "max_discrepancy": worst[name],
                 "tolerance": tol,
-                "passed": value <= tol,
+                "passed": worst[name] <= tol,
             }
-            for name, (value, tol) in checks.items()
+            for name, tol in TOLERANCES.items()
         },
         "lift_smoothness_probes_stable": all(probe_orders) if probe_orders else True,
     }

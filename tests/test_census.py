@@ -2,7 +2,8 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from math import comb, factorial, prod
+from itertools import product
+from math import comb, factorial, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,20 @@ def test_primitive_vectors_in_box():
     assert len(primitive_vectors_in_box(2, 2)) == 8
     with pytest.raises(CensusError):
         primitive_vectors_in_box(2, 0)
+
+
+def test_primitive_vectors_in_box_order_matches_a_sign_normalised_sieve():
+    def normalised(t):
+        first = next(x for x in t if x)
+        return t if first > 0 else tuple(-x for x in t)
+
+    for k in range(1, 5):
+        for bound in range(1, 5):
+            box = product(range(-bound, bound + 1), repeat=k)
+            expected = sorted({normalised(t) for t in box if gcd(*t) == 1})
+            got = [v.coords for v in primitive_vectors_in_box(k, bound)]
+            assert got == expected, (k, bound)
+    assert [v.coords for v in primitive_vectors_in_box(1, 3)] == [(1,)]
 
 
 def test_count_primitive_vectors_in_box_matches_the_box():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lstorus.localmodel import (
+    TOLERANCES,
     CornerHypothesisError,
     FaceDiffeo,
     LocalModelError,
@@ -79,6 +80,17 @@ def test_standard_section_roundtrip():
 def test_orbit_point_rejects_negative():
     with pytest.raises(LocalModelError):
         OrbitPoint([-0.1], [])
+
+
+def test_orbit_point_distance_rejects_points_of_different_charts():
+    for p, q in [
+        (OrbitPoint((1.0,), ()), OrbitPoint((), (1.0,))),
+        (OrbitPoint((1.0, 2.0), ()), OrbitPoint((1.0,), ())),
+    ]:
+        with pytest.raises(LocalModelError, match="different charts"):
+            orbit_point_distance(p, q)
+        with pytest.raises(LocalModelError, match="different charts"):
+            orbit_point_distance(q, p)
 
 
 def test_model_point_angle_reduction():
@@ -190,7 +202,7 @@ def test_lift_identity_is_exact():
 
 def test_lift_pure_scaling():
     # Phi(x, y) = (2 x, y) lifts to z -> sqrt(2) z.
-    phi = FaceDiffeo(1, 1, [XScaleLayer(0, Polynomial.constant(2, math.log(2.0)))])
+    phi = FaceDiffeo(1, 1, [XScaleLayer(0, Polynomial(2, [((0, 0), math.log(2.0))]))])
     spec = SmoothMapSpec(
         1, 1, 1, phi, TorusMap.identity(1, 1, 1), TorusMap.identity(1, 1, 1)
     )
@@ -425,6 +437,13 @@ def test_run_local_checks_passes():
     assert report["passed"], report
     assert report["checks"]["trivial_spec"]["max_discrepancy"] == 0.0
     assert report["checks"]["boundary_zeros"]["max_discrepancy"] == 0.0
+
+
+def test_run_local_checks_reports_every_check_at_its_tolerance():
+    report = run_local_checks(1, 2, 1, samples=5, seed=3, spec_count=1)
+    assert {name: c["tolerance"] for name, c in report["checks"].items()} == TOLERANCES
+    spec = random_spec(random.Random(3), 1, 2, 1)
+    assert section_compat_check(spec, 5)["tolerance"] == TOLERANCES["section_compat"]
 
 
 def test_run_local_checks_deterministic():
