@@ -7,9 +7,10 @@ no finite bound can be complete, so census counts are always relative to B.
 The budget compares |box|^(number of facets) with the spec's budget before
 any enumeration; |box| is counted by Moebius inversion, not listed, in
 O(B^(2/3)) steps, so even a bound of 10^9 is refused in about a second.
-Listing the box walks its (2B+1)^k points, so for k >= 2 and at least one
-facet that number is held to the budget as well.  At k = 1 the box is
-{(1,)} whatever B is, and nothing walks the line.
+Listing the box walks only its sign-canonical points, at most (2B+1)^k,
+and for k >= 2 and at least one facet that bound is held to the budget as
+well.  At k = 1 the box is {(1,)} whatever B is, and nothing walks the
+line.
 
 Enumeration is exact backtracking facet by facet, in facet-id order.  The
 labels allowed at a facet are a bitmask over the box: the AND, over the
@@ -81,19 +82,23 @@ class BudgetExceededError(CensusError):
         self.budget = budget
 
 
-def primitive_vectors_in_box(k: int, bound: int) -> list[PrimitiveVector]:
-    """All primitive sign-canonical vectors with entries in [-bound, bound]."""
+def primitive_vectors_in_box(k: int, bound: int) -> list[tuple[int, ...]]:
+    """All primitive sign-canonical vectors with entries in [-bound, bound],
+    in sorted order.
+
+    Only sign-canonical points are walked: those whose first nonzero entry,
+    at position i, runs over 1..bound.  More leading zeros sort first, so
+    the groups go from i = k - 1, which is just (0, ..., 0, 1), down to 0.
+    """
     if k < 1 or bound < 1:
         raise CensusError("need k >= 1 and bound >= 1 for a nonempty label box")
-    if k == 1:
-        return [PrimitiveVector((1,))]  # the only one on the line
-    # product walks the box in sorted order; keep each primitive point whose
-    # first nonzero entry is positive.
-    return [
-        PrimitiveVector(t)
-        for t in itertools.product(range(-bound, bound + 1), repeat=k)
-        if gcd(*t) == 1 and next(x for x in t if x) > 0
-    ]
+    out = [(0,) * (k - 1) + (1,)]
+    entries = range(-bound, bound + 1)
+    for i in range(k - 2, -1, -1):
+        zeros = (0,) * i
+        walk = itertools.product(range(1, bound + 1), *[entries] * (k - 1 - i))
+        out += [zeros + t for t in walk if gcd(*t) == 1]
+    return out
 
 
 def count_primitive_vectors_in_box(k: int, bound: int) -> int:
@@ -227,7 +232,7 @@ def enumerate_labelings(spec: CensusSpec) -> list[Labeling]:
     facets = poset.facets()
     if not facets:
         return [()]
-    vocab = [v.coords for v in primitive_vectors_in_box(spec.k, spec.entry_bound)]
+    vocab = primitive_vectors_in_box(spec.k, spec.entry_bound)
     pos = {f: i for i, f in enumerate(facets)}
     # Per position, a getter of the other facets' indices for each face
     # checked there; None when one of those faces has more facets than the
@@ -237,7 +242,7 @@ def enumerate_labelings(spec: CensusSpec) -> list[Labeling]:
         star = poset.facets_containing(f)
         if not star:
             continue
-        positions = sorted(pos[x] for x in star)
+        positions = [pos[x] for x in star]  # stars are in facet order
         last = positions.pop()
         if len(star) > spec.k:
             check_at[last] = None
@@ -302,14 +307,6 @@ def enumerate_labelings(spec: CensusSpec) -> list[Labeling]:
     return out
 
 
-def _faces_per_codim(poset: FacePoset) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for f in poset.ids():
-        c = poset.codim(f)
-        counts[c] = counts.get(c, 0) + 1
-    return counts
-
-
 def enumerate_census(spec: CensusSpec) -> CensusResult:
     """Run the census; identical specs give identical results."""
     report = spec.poset.validate()
@@ -322,9 +319,9 @@ def enumerate_census(spec: CensusSpec) -> CensusResult:
     estimate = box ** len(facets)
     if estimate > spec.budget:
         raise BudgetExceededError(estimate, spec.budget)
-    # Listing the box walks all (2B+1)^k points, which can exceed the budget
-    # when there are few facets.  Nothing walks the line at k = 1, nor the
-    # box of a facet-free poset.
+    # Listing the box walks at most its (2B+1)^k points, which can exceed
+    # the budget when there are few facets.  Nothing walks the line at
+    # k = 1, nor the box of a facet-free poset.
     if facets and spec.k >= 2:
         walk = (2 * spec.entry_bound + 1) ** spec.k
         if walk > spec.budget:
@@ -334,7 +331,7 @@ def enumerate_census(spec: CensusSpec) -> CensusResult:
     classes = _deduplicate(
         spec.dedup, labelings, _facet_permutations(spec.poset, facets)
     )
-    faces_per_codim = _faces_per_codim(spec.poset)
+    faces_per_codim = spec.poset.faces_per_codim()
     euler_codim = min(spec.k, spec.poset.dim_orbit)
     return CensusResult(
         total_valid=len(labelings),

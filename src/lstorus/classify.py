@@ -284,16 +284,13 @@ def _shape_mismatch(a: CharacteristicPair, b: CharacteristicPair) -> Optional[st
         return f"k differs ({a.k} vs {b.k})"
     if a.dim_orbit != b.dim_orbit:
         return f"dim_orbit differs ({a.dim_orbit} vs {b.dim_orbit})"
-    counts_a = sorted(a.poset.codim(f) for f in a.poset.ids())
-    counts_b = sorted(b.poset.codim(f) for f in b.poset.ids())
-    if counts_a != counts_b:
+    if a.poset.faces_per_codim() != b.poset.faces_per_codim():
         return "face counts per codimension differ"
     return None
 
 
 def has_four_dim_faces(cp: CharacteristicPair) -> bool:
-    d = cp.dim_orbit
-    return any(d - cp.poset.codim(f) == 4 for f in cp.poset.ids())
+    return cp.dim_orbit - 4 in cp.poset.faces_per_codim()
 
 
 def _hypotheses(a: CharacteristicPair, b: CharacteristicPair) -> dict[str, bool]:

@@ -9,13 +9,17 @@ Construction enforces only well-formedness (unique ids, known cover
 endpoints).  The semantic invariants of a nice corner structure -- a single
 top face, grading, and Boolean upper intervals -- are checked by
 ``validate_poset`` and reported rather than raised, so broken inputs can be
-described to the user.
+described to the user.  The order queries (``upper_set``, ``leq``,
+``facets_containing``) read tables derived in one pass by codimension, so
+they need a graded poset and raise ``PosetError`` on any other.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Iterable
 
 
 class PosetError(ValueError):
@@ -43,16 +47,12 @@ class FacePoset:
 
     def __init__(
         self,
-        faces: Iterable[tuple[str, int]] | Mapping[str, int],
+        faces: Iterable[tuple[str, int]],
         covers: Iterable[tuple[str, str]],
         dim_orbit: int,
     ):
-        if isinstance(faces, Mapping):
-            face_items = list(faces.items())
-        else:
-            face_items = list(faces)
         codim: dict[str, int] = {}
-        for fid, c in face_items:
+        for fid, c in faces:
             if not isinstance(fid, str) or not fid:
                 raise PosetError(f"face id must be a nonempty string, got {fid!r}")
             if fid in codim:
@@ -86,10 +86,6 @@ class FacePoset:
         self._lowers = {f: tuple(sorted(los)) for f, los in lo_map.items()}
         self._ids = tuple(sorted(codim))
         self._facets = tuple(f for f in self._ids if codim[f] == 1)
-        # Derived on first use, then shared by every query.
-        self._upper_sets: Optional[dict[str, frozenset[str]]] = None
-        self._stars: Optional[dict[str, tuple[str, ...]]] = None
-        self._report: Optional[ValidityReport] = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -139,39 +135,7 @@ class FacePoset:
     def upper_set(self, fid: str) -> frozenset[str]:
         """All faces containing fid, including fid itself."""
         self._require(fid)
-        return self._upper_sets_map()[fid]
-
-    def _upper_sets_map(self) -> dict[str, frozenset[str]]:
-        if self._upper_sets is None:
-            self._upper_sets = self._compute_upper_sets()
-        return self._upper_sets
-
-    def _compute_upper_sets(self) -> dict[str, frozenset[str]]:
-        """Depth-first closure over the covers, on an explicit stack so a
-        deep chain does not hit the recursion limit.  A face met again on
-        the current path (a cycle) contributes nothing, which terminates."""
-        out: dict[str, frozenset[str]] = {}
-        for root in self._ids:
-            if root in out:
-                continue
-            path = {root}
-            stack = [(root, iter(self._uppers[root]), {root})]
-            while stack:
-                f, ups, acc = stack[-1]
-                for up in ups:
-                    if up in out:
-                        acc |= out[up]
-                    elif up not in path:
-                        path.add(up)
-                        stack.append((up, iter(self._uppers[up]), {up}))
-                        break
-                else:
-                    stack.pop()
-                    path.discard(f)
-                    out[f] = frozenset(acc)
-                    if stack:
-                        stack[-1][2].update(out[f])
-        return out
+        return self._upper_sets[fid]
 
     def leq(self, f: str, g: str) -> bool:
         """Inclusion order: f is a (non-strict) subface of g."""
@@ -180,25 +144,46 @@ class FacePoset:
     def facets_containing(self, fid: str) -> list[str]:
         """The star of fid: the facets containing it, in id order."""
         self._require(fid)
-        return list(self._star_table()[fid])
+        return list(self._stars[fid])
 
-    def _star_table(self) -> dict[str, tuple[str, ...]]:
-        if self._stars is None:
-            facets = frozenset(self._facets)
-            self._stars = {
-                f: tuple(sorted(facets.intersection(up)))
-                for f, up in self._upper_sets_map().items()
-            }
-        return self._stars
+    def faces_per_codim(self) -> dict[int, int]:
+        """The number of faces of each codimension, by increasing codimension."""
+        return dict(sorted(Counter(self._codim.values()).items()))
+
+    @cached_property
+    def _upper_sets(self) -> dict[str, frozenset[str]]:
+        """Upper sets by increasing codimension, so that in a graded poset
+        the covers of a face are done before it; a cover that does not drop
+        codimension by 1, as on any cycle, raises."""
+        codim = self._codim
+        out: dict[str, frozenset[str]] = {}
+        for f in sorted(self._ids, key=codim.__getitem__):
+            upper = {f}
+            for g in self._uppers[f]:
+                if codim[g] != codim[f] - 1:
+                    raise PosetError(
+                        f"order queries need a graded poset; cover {f!r} over {g!r} "
+                        "does not drop codimension by 1"
+                    )
+                upper |= out[g]
+            out[f] = frozenset(upper)
+        return out
+
+    @cached_property
+    def _stars(self) -> dict[str, tuple[str, ...]]:
+        facets = frozenset(self._facets)
+        return {f: tuple(sorted(facets & up)) for f, up in self._upper_sets.items()}
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidityReport:
         """Validity report, computed on the first call and then reused (the
         poset is immutable)."""
-        if self._report is None:
-            self._report = self._compute_validity()
-        return self._report
+        return self._validity
+
+    @cached_property
+    def _validity(self) -> ValidityReport:
+        return self._compute_validity()
 
     def _compute_validity(self) -> ValidityReport:
         codim = self._codim
@@ -236,8 +221,8 @@ class FacePoset:
             # Niceness is meaningless on an ungraded or multi-top structure.
             return ValidityReport(False, tuple(violations))
 
-        uppers = self._upper_sets_map()
-        stars = self._star_table()
+        uppers = self._upper_sets
+        stars = self._stars
         # Stars shrink going up a graded poset.  So once the stars of f's
         # upper interval are the distinct subsets of star(f), a face g of the
         # interval lies below at most the 2^|star(g)| faces whose stars fit

@@ -92,19 +92,22 @@ def half_plane_poset() -> FacePoset:
     return FacePoset([("T", 0), ("E", 1)], [("E", "T")], 2)
 
 
-def product_poset(p: FacePoset, q: FacePoset, sep: str = "|") -> FacePoset:
+_PRODUCT_SEP = "|"  # joins the two face ids of a product face
+
+
+def product_poset(p: FacePoset, q: FacePoset) -> FacePoset:
     """Face poset of a product: faces are pairs, codimensions add."""
     faces = []
     covers = []
     for a in p.ids():
         for b in q.ids():
-            faces.append((f"{a}{sep}{b}", p.codim(a) + q.codim(b)))
+            faces.append((f"{a}{_PRODUCT_SEP}{b}", p.codim(a) + q.codim(b)))
     for lo, up in p.covers():
         for b in q.ids():
-            covers.append((f"{lo}{sep}{b}", f"{up}{sep}{b}"))
+            covers.append((f"{lo}{_PRODUCT_SEP}{b}", f"{up}{_PRODUCT_SEP}{b}"))
     for a in p.ids():
         for lo, up in q.covers():
-            covers.append((f"{a}{sep}{lo}", f"{a}{sep}{up}"))
+            covers.append((f"{a}{_PRODUCT_SEP}{lo}", f"{a}{_PRODUCT_SEP}{up}"))
     return FacePoset(faces, covers, p.dim_orbit + q.dim_orbit)
 
 

@@ -478,17 +478,19 @@ def solve_unimodular(
     return UnimodularSolution(a, unique=any(form[-1]))
 
 
-def random_unimodular(
-    k: int, rng: random.Random, steps: int = 8, coeff: int = 2
-) -> Matrix:
+_RANDOM_STEPS = 8  # at most this many elementary factors
+_RANDOM_COEFF = 2  # the largest |c| of a row addition
+
+
+def random_unimodular(k: int, rng: random.Random) -> Matrix:
     """Random element of GL(k, Z) as a short product of elementary matrices."""
     m = [list(row) for row in identity(k)]
-    for _ in range(rng.randrange(2, steps + 1)):
+    for _ in range(rng.randrange(2, _RANDOM_STEPS + 1)):
         op = rng.randrange(3)
         i = rng.randrange(k)
         if op == 0 and k > 1:
             jj = rng.choice([x for x in range(k) if x != i])
-            c = rng.choice([c for c in range(-coeff, coeff + 1) if c])
+            c = rng.choice([c for c in range(-_RANDOM_COEFF, _RANDOM_COEFF + 1) if c])
             m[i] = [x + c * y for x, y in zip(m[i], m[jj])]
         elif op == 1 and k > 1:
             jj = rng.choice([x for x in range(k) if x != i])

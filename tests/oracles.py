@@ -523,7 +523,7 @@ def enumerate_labelings_reference(spec) -> list[tuple]:
     facets = [f for f in poset.linear_extension() if poset.codim(f) == 1]
     if not facets:
         return [()]
-    vocab = [v.coords for v in primitive_vectors_in_box(spec.k, spec.entry_bound)]
+    vocab = primitive_vectors_in_box(spec.k, spec.entry_bound)
     pos = {f: i for i, f in enumerate(facets)}
     check_at: list[list[list[int]]] = [[] for _ in facets]
     for f in poset.ids():

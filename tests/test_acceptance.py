@@ -192,7 +192,7 @@ def test_criterion_3_census_exactness(tmp_path):
     details = []
     for poset, name in ((triangle_poset(), "triangle"), (square_poset(), "square")):
         for bound in (1, 2):
-            vocab = [v.coords for v in primitive_vectors_in_box(2, bound)]
+            vocab = primitive_vectors_in_box(2, bound)
             brute = census_bruteforce(poset, 2, vocab)
             for dedup in ("none", "strong", "weak"):
                 spec = CensusSpec(poset, 2, bound, dedup=dedup)

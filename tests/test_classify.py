@@ -289,6 +289,14 @@ def test_hypotheses_and_conclusion():
     assert verdict.hypotheses["four_faces_vacuous"]
 
 
+def test_has_four_dim_faces_on_cubes():
+    # The 4-cube is a four-dimensional face of itself; the 3-cube has none.
+    assert has_four_dim_faces(cube_pair(4))
+    assert not has_four_dim_faces(cube_pair(3))
+    verdict = strong_equivalence(cube_pair(4), cube_pair(4))
+    assert not verdict.hypotheses["four_faces_vacuous"]
+
+
 def test_canonical_form_equal_iff_equivalent_strong():
     rng = random.Random(127)
     pairs = [

@@ -222,7 +222,7 @@ def test_census_triangle_matches_bruteforce(capsys):
     )
     assert code == 0
     poset = triangle_poset()
-    vocab = [v.coords for v in primitive_vectors_in_box(2, 1)]
+    vocab = primitive_vectors_in_box(2, 1)
     count = 0
     for labels in itertools.product(vocab, repeat=3):
         ok = all(

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -189,7 +190,7 @@ def test_polygon_poset_sizes():
 
 def _without_cover(poset, *removed):
     faces = {f: poset.codim(f) for f in poset.ids()}
-    return FacePoset(faces, [c for c in poset.covers() if c not in removed], poset.dim_orbit)
+    return FacePoset(faces.items(), [c for c in poset.covers() if c not in removed], poset.dim_orbit)
 
 
 def _corner4_order():
@@ -249,6 +250,52 @@ def _fixture_posets():
     }
     posets.update(cube5=cube_poset(5), cube6=cube_poset(6))
     return posets
+
+
+@pytest.mark.parametrize("name", ["ungraded", "cycle"])
+def test_order_queries_raise_on_an_ungraded_poset(name):
+    poset = _invalid_variants()[name]
+    for f in poset.ids():
+        with pytest.raises(PosetError, match="graded"):
+            poset.upper_set(f)
+        with pytest.raises(PosetError, match="graded"):
+            poset.leq(f, f)
+        with pytest.raises(PosetError, match="graded"):
+            poset.facets_containing(f)
+    # Grading is checked before any order query, so the report is unchanged.
+    report = poset.validate()
+    assert not report.valid and report.by_kind("grading")
+    got = sorted((v.kind, v.faces, v.detail) for v in report.violations)
+    assert got == poset_violations_reference(poset)
+
+
+def test_order_tables_equal_a_breadth_first_closure():
+    posets = dict(_fixture_posets(), corner4=corner_poset(4))
+    for name, poset in _invalid_variants().items():
+        if not poset.validate().by_kind("grading"):
+            posets[name] = poset
+    for name, poset in posets.items():
+        above = {f: [] for f in poset.ids()}
+        for lo, up in poset.covers():
+            above[lo].append(up)
+        for f in poset.ids():
+            seen, queue = {f}, [f]
+            for g in queue:
+                for h in above[g]:
+                    if h not in seen:
+                        seen.add(h)
+                        queue.append(h)
+            assert poset.upper_set(f) == seen, (name, f)
+            star = sorted(g for g in seen if poset.codim(g) == 1)
+            assert poset.facets_containing(f) == star, (name, f)
+            assert all(poset.leq(f, g) == (g in seen) for g in poset.ids()), (name, f)
+
+
+def test_faces_per_codim_counts_the_codims():
+    for name, poset in _fixture_posets().items():
+        counts = poset.faces_per_codim()
+        assert counts == Counter(poset.codim(f) for f in poset.ids()), name
+        assert list(counts) == sorted(counts), name
 
 
 @pytest.mark.parametrize("source", ["fixtures", "invalid"])
