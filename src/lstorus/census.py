@@ -47,7 +47,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .charpair import CharacteristicPair
 from .classify import poset_automorphisms
@@ -186,8 +186,7 @@ class CensusSpec:
             raise CensusError("budget must be positive")
 
 
-@dataclass(frozen=True)
-class CensusClass:
+class CensusClass(NamedTuple):
     representative: Labeling
     size: int
 
@@ -377,7 +376,7 @@ def _deduplicate(
     (``_weak_groups``), not once per orbit.
     """
     if dedup == "none":
-        return tuple(CensusClass(lab, 1) for lab in labelings)
+        return tuple(map(CensusClass, labelings, itertools.repeat(1)))
 
     # Each element of Aut(P) found so far, as a map from a labeling to its
     # image.  A permutation of fewer than two positions is the identity.

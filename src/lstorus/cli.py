@@ -222,11 +222,8 @@ def cmd_census(args: argparse.Namespace) -> tuple[dict, int]:
         "total_valid": result.total_valid,
         "class_count": len(result.classes),
         "classes": [
-            {
-                "labels": dict(zip(result.facet_order, cls.representative)),
-                "size": cls.size,
-            }
-            for cls in result.classes
+            {"labels": dict(zip(result.facet_order, rep)), "size": size}
+            for rep, size in result.classes
         ],
         "stats": {
             "faces_per_codim": {

@@ -11,6 +11,17 @@ as ``canonical_json_reference``.  Within one call the writer memoises, per
 indent depth, the text of each flat list of ints and of each
 ``"key": [ints]`` entry, since census reports repeat a few label vectors
 thousands of times.
+
+A census report is mostly a *record array*: a list of at least two
+distinct dicts that share one tuple of ``str`` keys, such as its classes
+and their labels.  The writer lays such an array out column by column,
+reading each column once, and joins each row's cells in one pass, so it
+makes no call per record.  It does so only when every column holds exact
+ints, exact strs, non-empty flat int lists, or dicts that themselves form a
+record array, and no row is open or a row of an enclosing record array.
+Anything else sends the whole array to the per-value path, which raises
+what ``json.dumps`` raises and in the same order; an int too long to
+convert does too, so the record path never raises.
 """
 
 from __future__ import annotations
@@ -22,8 +33,10 @@ import stat
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring as _encode_str
-from typing import Any, Optional
+from operator import itemgetter
+from typing import Any, Iterable, Optional
 
 from .charpair import Attestations, CharacteristicPair, CharPairError
 from .faceposet import FacePoset, PosetError, ValidityReport
@@ -59,6 +72,14 @@ def canonical_json(obj: Any) -> str:
     Within one call it memoises, per indent depth, the text of each flat
     list of ints and of each ``"key": [ints]`` entry, keyed by the list's
     identity: census reports repeat a few label vectors thousands of times.
+
+    A list or tuple of two or more distinct dicts with one tuple of ``str``
+    keys (a record array, such as a census's classes) is laid out column
+    by column when each column holds only exact ints, only exact strs,
+    only non-empty flat int lists, or only dicts that are again a record
+    array, and no row is open or a row of an enclosing record array.  Any
+    other array, or one holding an int too long to convert, is written
+    value by value, so errors and their order are those of ``json.dumps``.
     """
     return _Writer().value(obj, 0) + "\n"
 
@@ -103,12 +124,13 @@ class _Writer:
     reused, before the call returns.
     """
 
-    __slots__ = ("flat", "entries", "open")
+    __slots__ = ("flat", "entries", "open", "rows")
 
     def __init__(self) -> None:
         self.flat: dict[tuple[int, int], str] = {}  # (id, depth) -> text
         self.entries: dict[tuple[str, int, int], str] = {}  # (key, id, depth)
         self.open: set[int] = set()  # ids of the containers being written
+        self.rows: set[int] = set()  # ids of the rows of the record arrays being written
 
     def value(self, o: Any, depth: int) -> str:
         t = type(o)
@@ -168,12 +190,87 @@ class _Writer:
         text = self.flat_ints(lst, depth)
         if text is not None:
             return text
-        marker = self.enter(lst)
         inner = "\n" + "  " * (depth + 1)
+        t = type(lst)
+        if (t is list or t is tuple) and len(lst) > 1:
+            slots = self.records(lst, depth + 1)
+            if slots is not None:
+                rows = map("".join, zip(*slots))
+                return "[" + inner + ("," + inner).join(rows) + inner[:-2] + "]"
+        marker = self.enter(lst)
         value, d = self.value, depth + 1
         text = "[" + inner + ("," + inner).join([value(x, d) for x in lst]) + inner[:-2] + "]"
         self.open.discard(marker)
         return text
+
+    def records(self, rows: Any, depth: int) -> Optional[list[Iterable[str]]]:
+        """``rows`` as objects at ``depth``, laid out column by column, or
+        None when they are not a record array (see ``canonical_json``).
+
+        The result holds one iterable per slot of a row's text, in order:
+        a ``repeat`` of the text before a column's cells, then the cells,
+        one per row; ``"".join`` over the slots gives each row.  A column
+        of dicts contributes the slots of its own record array.  Nothing
+        here raises: the per-value path that runs on None raises what
+        ``json.dumps`` raises, in its order.  Only dict cells hold
+        containers, and no row may be open or a row of an enclosing record
+        array, so every cycle is met on that path.
+        """
+        if {*map(type, rows)} != {dict}:
+            return None
+        keys = tuple(rows[0])
+        if (
+            not keys
+            or any(map(keys.__ne__, map(tuple, rows)))
+            or {*map(type, chain.from_iterable(rows))} != {str}
+        ):
+            return None
+        ids = {*map(id, rows)}
+        if len(ids) < len(rows) or not ids.isdisjoint(self.open) or not ids.isdisjoint(self.rows):
+            return None
+        self.rows |= ids
+        inner = "\n" + "  " * (depth + 1)
+        glue, slots = "{" + inner, []
+        for key in sorted(keys):
+            cells = self.column(list(map(itemgetter(key), rows)), depth + 1)
+            if cells is None:
+                self.rows -= ids
+                return None
+            slots.append(repeat(glue + _encode_str(key) + ": "))
+            slots += cells
+            glue = "," + inner
+        self.rows -= ids
+        slots.append(repeat(inner[:-2] + "}"))
+        return slots
+
+    def column(self, cells: list, depth: int) -> Optional[list[Iterable[str]]]:
+        """The slots of the values of one record column, or None."""
+        kinds = {*map(type, cells)}
+        if len(kinds) != 1:
+            return None
+        kind = kinds.pop()
+        if kind is str:
+            return [map(_encode_str, cells)]
+        if kind is int:
+            try:
+                return [list(map(int.__repr__, cells))]
+            except ValueError:  # past sys.get_int_max_str_digits()
+                return None
+        if kind is dict:
+            return self.records(cells, depth)
+        if kind is not list and kind is not tuple:
+            return None
+        # Census columns hold a few label vectors many times over.
+        texts = {}
+        for marker, v in dict(zip(map(id, cells), cells)).items():
+            try:
+                text = self.flat_ints(v, depth) if v else None
+            except ValueError:
+                return None
+            if text is None:
+                return None
+            texts[marker] = text
+        return [map(texts.__getitem__, map(id, cells))]
 
     def object(self, dct: dict, depth: int) -> str:
         if not dct:

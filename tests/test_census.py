@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from itertools import product
 from math import comb, factorial, gcd, prod
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from lstorus.census import (
     enumerate_labelings,
     primitive_vectors_in_box,
 )
-from lstorus.classify import canonical_form
+from lstorus.classify import canonical_form, poset_automorphisms
 from lstorus.faceposet import FacePoset
 from lstorus.fixtures import (
     cube_poset,
@@ -379,6 +380,37 @@ def test_census_dedup_stops_once_every_labeling_has_a_class(dedup):
 
     lab = ((1, 0),) * 3
     assert _deduplicate(dedup, [lab], identity_then_fail()) == (CensusClass(lab, 1),)
+
+
+@pytest.mark.parametrize(
+    "poset,k,bound,classes,order,total",
+    [
+        (pentagon_poset(), 2, 3, 184, 10, 1840),
+        (simplex_poset(3), 3, 1, 52, 24, 1248),
+        (square_poset(), 2, 3, 146, 8, 578),
+        (polygon_poset(6), 2, 2, 300, 12, 2450),
+        (prism_poset(), 3, 1, 1064, 12, 10164),
+        (cube_poset(3), 3, 1, 4000, 48, 88926),
+    ],
+    ids=["pentagon", "simplex3", "square", "hexagon", "prism", "cube3"],
+)
+def test_strong_class_count_matches_burnside(poset, k, bound, classes, order, total):
+    # Burnside's lemma: the number of Aut(P)-orbits on the labelings is the
+    # mean over the group of the number of labelings each element fixes.
+    facets = tuple(poset.facets())
+    pos = {f: i for i, f in enumerate(facets)}
+    group = {tuple(pos[phi[f]] for f in facets) for phi in poset_automorphisms(poset)}
+    labelings = enumerate_labelings(CensusSpec(poset, k, bound))
+    fixed = sum(
+        sum(map(tuple.__eq__, map(itemgetter(*perm), labelings), labelings))
+        for perm in group
+    )
+    assert (len(group), len(labelings)) == (order, total)
+    assert fixed % len(group) == 0
+    assert fixed // len(group) == classes
+    result = enumerate_census(CensusSpec(poset, k, bound, dedup="strong"))
+    assert len(result.classes) == classes
+    assert sum(size for _, size in result.classes) == result.total_valid == total
 
 
 def test_census_facet_free_poset():

@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lstorus.cli as cli
-from lstorus.documents import canonical_json
+from lstorus import documents
+from lstorus.charpair import CharacteristicPair
+from lstorus.documents import canonical_json, pair_to_object
+from lstorus.fixtures import square_poset
 from oracles import canonical_json_reference
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,6 +54,48 @@ _any_keys = st.one_of(_text, _number_keys, st.none())
 _int_lists = st.lists(
     st.one_of(st.integers(-3, 3), st.booleans(), st.just(1.0)), min_size=1, max_size=4
 )
+_cells = st.one_of(
+    st.integers(), st.just(10**5000), _text, _int_lists, _int_lists.map(tuple)
+)
+
+
+@st.composite
+def _record_arrays(draw, rows=None, depth=0):
+    """A list of 2-4 dicts with one list of keys; a column holds ints, strs,
+    short int lists or, one level down, the rows of a record array."""
+    keys = draw(st.lists(_text, min_size=1, max_size=3, unique=True))
+    n = rows or draw(st.integers(2, 4))
+    columns = [
+        draw(_record_arrays(n, depth + 1))
+        if depth < 2 and draw(st.booleans())
+        else draw(st.lists(_cells, min_size=n, max_size=n))
+        for _ in keys
+    ]
+    return [dict(zip(keys, cells)) for cells in zip(*columns)]
+
+
+def _alias(array, how):
+    """``array`` with one row or cell replaced by another of its objects."""
+    first = array[0]
+    key = next(iter(first))
+    if how == "repeated row":
+        array[1] = first
+    elif how == "cell is another row":
+        first[key] = array[1]
+    elif how == "cell is its own row":
+        first[key] = first
+    elif how == "cell is the array":
+        first[key] = array
+    return array
+
+
+_aliased_records = st.builds(
+    _alias,
+    _record_arrays(),
+    st.sampled_from(
+        ["none", "repeated row", "cell is another row", "cell is its own row", "cell is the array"]
+    ),
+)
 _values = st.recursive(
     _scalars,
     lambda children: st.one_of(
@@ -63,6 +108,8 @@ _values = st.recursive(
         _int_lists,
         _int_lists.map(tuple).map(_reuse),
         children.map(_reuse),
+        _aliased_records,
+        _aliased_records.map(_reuse),
     ),
     max_leaves=30,
 )
@@ -120,17 +167,51 @@ def test_cycles_and_unsupported_values_raise_as_json_dumps_does():
     head = [1, 2]
     head.append({"k": [head]})
     twice = [1]
+    # Record arrays: the first error in document order wins, even where a
+    # later row has an int too long to convert; a row holding itself or
+    # the array is a cycle.
+    unsupported_first = [{"a": 1, "b": object()}, {"a": 10**5000, "b": 1}]
+    selfish = {"a": 1}
+    selfish["b"] = selfish
+    holder = {"a": 1, "b": [1]}
+    table = [holder, {"a": 2, "b": [2]}]
+    holder["b"] = table
     cases = [
         loop, knot, head,
         {"a": object()}, [1, {2, 3}], object(), [1, [2, b"x"]],
         {(1, 2): 3}, {1: 2, "a": 3}, {None: 1, 0: 2},
+        unsupported_first, [selfish, {"a": 2, "b": {"a": 3, "b": 4}}], table,
     ]
     for obj in cases:
         expected = outcome(canonical_json_reference, obj)
         assert expected[0] in (TypeError, ValueError), obj
         assert outcome(canonical_json, obj) == expected, obj
-    # The same list twice is not a cycle.
-    assert canonical_json([twice, {"t": twice}]) == canonical_json_reference([twice, {"t": twice}])
+    assert outcome(canonical_json, unsupported_first)[0] is TypeError
+    # The same list twice is not a cycle, nor is a record that a nested
+    # record column holds as a row of its own.
+    s = {"x": 1}
+    q = {"x": s}
+    p = {"x": q}
+    for obj in ([twice, {"t": twice}], [p, q]):
+        assert canonical_json(obj) == canonical_json_reference(obj), obj
+
+
+def test_census_report_is_written_as_record_arrays(monkeypatch, capsys):
+    """The 10,164 classes and their labels take the record path: the
+    per-value object writer runs only for the few dicts around them."""
+    calls = []
+    per_value = documents._Writer.object
+
+    def counted(self, dct, depth):
+        calls.append(depth)
+        return per_value(self, dct, depth)
+
+    monkeypatch.setattr(documents._Writer, "object", counted)
+    argv = ["census", "--poset", str(FIXTURES / "prism.json"), "--k", "3", "--bound", "1",
+            "--dedup", "none"]
+    assert cli.main(argv) == 0
+    assert '"class_count": 10164' in capsys.readouterr().out
+    assert 0 < len(calls) < 10
 
 
 @pytest.mark.parametrize(
@@ -138,14 +219,26 @@ def test_cycles_and_unsupported_values_raise_as_json_dumps_does():
     [
         ["census", "--poset", str(FIXTURES / "prism.json"), "--k", "3", "--bound", "1",
          "--dedup", "none"],
+        ["census", "--poset", str(FIXTURES / "cube2.json"), "--k", "2", "--bound", "3",
+         "--dedup", "weak"],
         ["localcheck", "--n", "2", "--k", "3", "--m", "1", "--samples", "40", "--seed", "5"],
         ["iso", str(FIXTURES / "hirzebruch1.json"), str(FIXTURES / "hirzebruch1.json"),
          "--mode", "weak"],
+        ["validate", "two-violations.json"],
         ["validate", str(FIXTURES / "no-such-document.json")],
     ],
-    ids=["census-prism", "localcheck", "iso-witness", "error"],
+    ids=["census-prism", "census-square-weak", "localcheck", "iso-witness", "violations",
+         "error"],
 )
-def test_reports_match_json_dumps(argv, capsys, monkeypatch):
+def test_reports_match_json_dumps(argv, capsys, monkeypatch, tmp_path):
+    # Two vertices whose facet labels coincide: the violations form a
+    # record array with a column of string lists, which the writer lays
+    # out value by value.
+    bad = CharacteristicPair(
+        square_poset(), 2, {"E0": (1, 0), "E1": (1, 0), "E2": (1, 0), "E3": (0, 1)}
+    )
+    (tmp_path / "two-violations.json").write_text(canonical_json(pair_to_object(bad)))
+    monkeypatch.chdir(tmp_path)
     reports = []
 
     def spy(obj):
@@ -169,10 +262,15 @@ def test_reports_match_json_dumps(argv, capsys, monkeypatch):
         # The labels are the census's own tuples, which the memos key on.
         labels = report["classes"][0]["labels"]
         assert all(type(v) is tuple for v in labels.values())
-        assert len(out.encode("utf-8")) == 3_985_680
+        if argv[-1] == "none":
+            assert len(out.encode("utf-8")) == 3_985_680
+        else:
+            assert max(c["size"] for c in report["classes"]) > 1
     if argv[0] == "iso":
         assert report["verdict"]["witness"]["auto"] is not None
-    if argv[0] == "validate":
+    if argv[1] == "two-violations.json":
+        assert len(report["label_violations"]) >= 2
+    elif argv[0] == "validate":
         assert report["error"]["type"] == "io"
 
 
