@@ -2,6 +2,7 @@
 """Write the CLI reports that must not change between versions to one JSON file.
 
 Usage: python3 scripts/report_digest.py OUT.json
+       python3 scripts/report_digest.py --hashes tests/report_digest.sha256.json
 
 The dump holds, for the tree the script sits in:
   * `validate` and `canon` (strong and weak) reports for every document in
@@ -18,20 +19,27 @@ The dump holds, for the tree the script sits in:
   * census reports under `--dedup none`, `strong` and `weak` for the
     (poset, k, B) settings in CENSUS below, and the budget refusal of each
     setting in CENSUS_REFUSED;
-  * `localcheck` reports for the shapes in LOCALCHECK at a few seeds.
+  * `localcheck` reports for the shapes in LOCALCHECK at a few seeds, and
+    for the settings in LOCALCHECK_LONG, whose samples span several of the
+    batches that `lstorus.localmodel` lifts together.
 
 Each entry maps a command line to the exit code and the exact stdout text
 of `lstorus.cli.main`; census and INVALID entries name the input instead of
 its file, and the moved copies and the inputs of ERRORS are named relative
 to the work directory.
 Run it in two checkouts and compare the dumps with `cmp` to check that a
-change keeps these reports byte-identical.  The script re-executes itself
-with PYTHONHASHSEED=0 so that both runs hash alike.
+change keeps these reports byte-identical, and to find what differs.
+With `--hashes PATH` it writes, in place of the dump, the sha256 of each
+entry (see `entry_hash`) by command line; tests/test_report_digest.py
+compares the committed tests/report_digest.sha256.json against a fresh
+in-process digest.  Run as a script, it re-executes itself with
+PYTHONHASHSEED=0 so that both runs hash alike.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -40,10 +48,6 @@ import pathlib
 import random
 import sys
 import tempfile
-
-if os.environ.get("PYTHONHASHSEED") != "0":
-    os.environ["PYTHONHASHSEED"] = "0"
-    os.execv(sys.executable, [sys.executable, *sys.argv])
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -93,6 +97,9 @@ POSETS = {
 LOCALCHECK = [(1, 2, 1), (2, 3, 1), (3, 3, 0), (2, 2, 2), (0, 2, 1), (1, 1, 0), (3, 4, 2)]
 LOCALCHECK_SEEDS = range(3)
 LOCALCHECK_SAMPLES = 50
+# ((n, k, m), samples, seed): localcheck runs with more samples than one
+# batch of lifts holds.
+LOCALCHECK_LONG = [((2, 3, 1), 200, 0)]
 
 
 def _square() -> dict:
@@ -258,25 +265,41 @@ def digest(workdir: pathlib.Path) -> dict[str, dict]:
         entries[" ".join(["census", "--poset", name] + tail)] = run(
             ["census", "--poset", str(poset)] + tail
         )
-    for n, k, m in LOCALCHECK:
-        for seed in LOCALCHECK_SEEDS:
-            argv = [
-                "localcheck", "--n", str(n), "--k", str(k), "--m", str(m),
-                "--samples", str(LOCALCHECK_SAMPLES), "--seed", str(seed),
-            ]
-            entries[" ".join(argv)] = run(argv)
+    localchecks = [
+        ((n, k, m), LOCALCHECK_SAMPLES, seed)
+        for n, k, m in LOCALCHECK
+        for seed in LOCALCHECK_SEEDS
+    ] + LOCALCHECK_LONG
+    for (n, k, m), samples, seed in localchecks:
+        argv = [
+            "localcheck", "--n", str(n), "--k", str(k), "--m", str(m),
+            "--samples", str(samples), "--seed", str(seed),
+        ]
+        entries[" ".join(argv)] = run(argv)
     return entries
 
 
+def entry_hash(entry: dict) -> str:
+    """sha256 of an entry's exit code and stdout."""
+    return hashlib.sha256(json.dumps(entry, sort_keys=True).encode("ascii")).hexdigest()
+
+
 def main() -> None:
-    if len(sys.argv) != 2:
+    args = sys.argv[1:]
+    hashes = args[:1] == ["--hashes"]
+    if len(args) != 1 + hashes:
         sys.exit(__doc__.split("\n\n")[1])
-    out = pathlib.Path(sys.argv[1]).resolve()
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.environ["PYTHONHASHSEED"] = "0"
+        os.execv(sys.executable, [sys.executable, *sys.argv])
+    out = pathlib.Path(args[-1]).resolve()
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         entries = digest(pathlib.Path(tmp))
+    if hashes:
+        entries = {line: entry_hash(entry) for line, entry in entries.items()}
     out.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(entries)} reports to {out}")
+    print(f"wrote {len(entries)} {'hashes' if hashes else 'reports'} to {out}")
 
 
 if __name__ == "__main__":

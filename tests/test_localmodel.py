@@ -1,9 +1,12 @@
 import cmath
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from lstorus import localmodel
 from lstorus.localmodel import (
     TOLERANCES,
     CornerHypothesisError,
@@ -18,6 +21,9 @@ from lstorus.localmodel import (
     XScaleLayer,
     YScaleLayer,
     YShearLayer,
+    _lift,
+    _memoised,
+    _sections,
     angle_distance,
     corner_quotient,
     even_substitution,
@@ -30,6 +36,7 @@ from lstorus.localmodel import (
     random_spec,
     run_local_checks,
     section_compat_check,
+    section_point,
     smoothness_probe,
     standard_section,
     torus_act,
@@ -341,8 +348,11 @@ def test_torus_map_validates_terms_on_construction():
         good.angles((0.5,), ())
 
 
-# (n, k, m): general shapes, shapes without z (n = 0) and without y (m = 0).
-LIFT_SHAPES = [(1, 2, 1), (2, 3, 1), (3, 4, 2), (0, 2, 1), (0, 1, 2), (3, 3, 0), (1, 1, 0)]
+# (n, k, m): general shapes, shapes without z (n = 0) and without y (m = 0);
+# they include the localcheck shapes of scripts/report_digest.py.
+LIFT_SHAPES = [
+    (1, 2, 1), (2, 3, 1), (3, 4, 2), (0, 2, 1), (0, 1, 2), (3, 3, 0), (1, 1, 0), (2, 2, 2),
+]
 
 
 def _assert_same_point(got, want):
@@ -360,9 +370,93 @@ def test_lift_matches_the_term_by_term_reference(shape):
         cases = specs + [composed, specs[0].inverse(), composed.inverse()]
         for spec in cases:
             for boundary_prob in (0.3, 1.0):
-                for _ in range(8):
-                    p = random_model_point(rng, n, k, m, boundary_prob)
-                    _assert_same_point(lift_diffeo(spec, p), lift_diffeo_reference(spec, p))
+                points = [random_model_point(rng, n, k, m, boundary_prob) for _ in range(8)]
+                want = [lift_diffeo_reference(spec, p) for p in points]
+                # One point at a time, then all in one batch.
+                for got in ([lift_diffeo(spec, p) for p in points], _lift(spec, points)):
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        _assert_same_point(g, w)
+
+
+@pytest.mark.parametrize("shape", LIFT_SHAPES, ids=lambda s: "n%dk%dm%d" % s)
+def test_batched_face_maps_and_sections_match_per_point(shape):
+    n, k, m = shape
+    rng = random.Random(2000 + 100 * n + 10 * k + m)
+    qs = [
+        random_orbit_point(rng, n, m, boundary_prob)
+        for boundary_prob in (0.3, 1.0)
+        for _ in range(40)
+    ]
+    first, other = random_spec(rng, n, k, m), random_spec(rng, n, k, m)
+    for spec in (first, other.compose_after(first), first.inverse()):
+        want = [layers_with_logs_reference(spec.phi.layers, n, q.x, q.y) for q in qs]
+        got = spec.phi._images([(q.x, q.y) for q in qs])
+        assert list(map(repr, got)) == list(map(repr, want))
+        images = spec.phi._apply_points(qs)
+        assert list(map(repr, images)) == [repr(OrbitPoint(x, y)) for x, y, _ in want]
+        for which in (1, 2):
+            got = _sections(spec, which, qs)
+            assert len(got) == len(qs)
+            for g, q in zip(got, qs):
+                _assert_same_point(g, section_point(spec, which, q))
+
+
+def _plan_walks(monkeypatch, samples):
+    """_eval_plan calls of one run_local_checks(2, 3, 1) at seed 0.  The
+    specs are fixed: random_spec's shapes would depend on how many points
+    the rng drew before it."""
+    specs = itertools.cycle([random_spec(random.Random(i), 2, 3, 1) for i in range(2)])
+    monkeypatch.setattr(localmodel, "random_spec", lambda rng, n, k, m: next(specs))
+    calls = []
+    walk = localmodel._eval_plan
+    monkeypatch.setattr(localmodel, "_eval_plan", lambda *args: calls.append(1) or walk(*args))
+    run_local_checks(2, 3, 1, samples=samples, seed=0)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_each_batch_of_samples_walks_each_plan_once(monkeypatch):
+    assert localmodel._BATCH == 64
+    walks = {s: _plan_walks(monkeypatch, s) for s in (10, 50, 64, 65)}
+    assert walks[10] == walks[50] == walks[64] < walks[65]
+
+
+def test_memory_of_the_checks_is_bounded_by_the_batch():
+    peaks = []
+    for samples in (64, 8 * 64):
+        tracemalloc.start()
+        try:
+            run_local_checks(1, 1, 0, samples=samples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_the_probe_memo_keeps_the_report_and_lifts_17_points():
+    rng = random.Random(5)
+    n, k, m = 2, 3, 1
+    spec = random_spec(rng, n, k, m)
+    base = random_model_point(rng, n, k, m, boundary_prob=0.0)
+    lifted = []
+
+    def slice_component(s):
+        lifted.append(s)
+        z = (complex(s, 0.0),) + base.z[1:]
+        return lift_diffeo(spec, ModelPoint(z, base.t, base.y)).z[0].real
+
+    plain = smoothness_probe(slice_component, 0.0, 2)
+    assert len(lifted) == 60
+    lifted.clear()
+    memoised = smoothness_probe(_memoised(slice_component), 0.0, 2)
+    assert repr(memoised) == repr(plain)
+    assert len(lifted) == len(set(lifted)) == 17
+
+    seen = []
+    sign = _memoised(lambda s: seen.append(s) or math.copysign(1.0, s))
+    assert [sign(v) for v in (0.0, -0.0, 0.0, -0.0)] == [1.0, -1.0, 1.0, -1.0]
+    assert list(map(repr, seen)) == ["0.0", "-0.0"]
 
 
 def test_orbit_maps_sections_and_actions_match_the_reference():
