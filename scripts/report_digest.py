@@ -287,7 +287,9 @@ def entry_hash(entry: dict) -> str:
 def main() -> None:
     args = sys.argv[1:]
     hashes = args[:1] == ["--hashes"]
-    if len(args) != 1 + hashes:
+    # An option in place of OUT.json (--help, -h, a mistyped --hashes)
+    # would otherwise name the dump.
+    if len(args) != 1 + hashes or args[-1].startswith("-"):
         sys.exit(__doc__.split("\n\n")[1])
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.environ["PYTHONHASHSEED"] = "0"

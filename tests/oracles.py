@@ -847,7 +847,9 @@ def model_point_reference(z, t, y):
     reduced into [0, 2*pi), finiteness checked."""
     def reduce(a: float) -> float:
         r = math.fmod(a, 2.0 * math.pi)
-        return r + 2.0 * math.pi if r < 0 else r
+        if r < 0:
+            r += 2.0 * math.pi
+        return 0.0 if r == 2.0 * math.pi else r  # a tiny negative a
 
     zt = tuple(complex(v) for v in z)
     tt = tuple(reduce(float(v)) for v in t)

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 from lstorus import localmodel
 from lstorus.localmodel import (
     TOLERANCES,
+    TWO_PI,
     CornerHypothesisError,
     FaceDiffeo,
     LocalModelError,
@@ -21,9 +23,10 @@ from lstorus.localmodel import (
     XScaleLayer,
     YScaleLayer,
     YShearLayer,
+    _batch_probe,
     _lift,
-    _memoised,
-    _sections,
+    _orbit_batch,
+    _section,
     angle_distance,
     corner_quotient,
     even_substitution,
@@ -360,6 +363,16 @@ def _assert_same_point(got, want):
     assert repr(got) == repr(want)  # also tells -0.0 from 0.0
 
 
+def _batch(points):
+    """The batch (z, t, y) of columns of points."""
+    return tuple([list(c) for c in zip(*[getattr(p, part) for p in points])] for part in "zty")
+
+
+def _coordinates(batch, count):
+    """(z, t, y) of each of the count points of a batch, as tuples."""
+    return [tuple(tuple(c[i] for c in part) for part in batch) for i in range(count)]
+
+
 @pytest.mark.parametrize("shape", LIFT_SHAPES, ids=lambda s: "n%dk%dm%d" % s)
 def test_lift_matches_the_term_by_term_reference(shape):
     n, k, m = shape
@@ -373,10 +386,10 @@ def test_lift_matches_the_term_by_term_reference(shape):
                 points = [random_model_point(rng, n, k, m, boundary_prob) for _ in range(8)]
                 want = [lift_diffeo_reference(spec, p) for p in points]
                 # One point at a time, then all in one batch.
-                for got in ([lift_diffeo(spec, p) for p in points], _lift(spec, points)):
-                    assert len(got) == len(want)
-                    for g, w in zip(got, want):
-                        _assert_same_point(g, w)
+                for p, w in zip(points, want):
+                    _assert_same_point(lift_diffeo(spec, p), w)
+                got = _coordinates(_lift(spec, _batch(points), len(points)), len(points))
+                assert list(map(repr, got)) == [repr((w.z, w.t, w.y)) for w in want]
 
 
 @pytest.mark.parametrize("shape", LIFT_SHAPES, ids=lambda s: "n%dk%dm%d" % s)
@@ -388,26 +401,34 @@ def test_batched_face_maps_and_sections_match_per_point(shape):
         for boundary_prob in (0.3, 1.0)
         for _ in range(40)
     ]
+    count = len(qs)
+    cols = [list(c) for c in zip(*[q.x + q.y for q in qs])]
+    kept = repr(cols)
     first, other = random_spec(rng, n, k, m), random_spec(rng, n, k, m)
     for spec in (first, other.compose_after(first), first.inverse()):
         want = [layers_with_logs_reference(spec.phi.layers, n, q.x, q.y) for q in qs]
-        got = spec.phi._images([(q.x, q.y) for q in qs])
+        got = [spec.phi.apply_with_logs(q.x, q.y) for q in qs]
         assert list(map(repr, got)) == list(map(repr, want))
-        images = spec.phi._apply_points(qs)
-        assert list(map(repr, images)) == [repr(OrbitPoint(x, y)) for x, y, _ in want]
-        for which in (1, 2):
-            got = _sections(spec, which, qs)
-            assert len(got) == len(qs)
-            for g, q in zip(got, qs):
-                _assert_same_point(g, section_point(spec, which, q))
+        images = _coordinates((spec.phi._apply(cols, count),), count)
+        assert list(map(repr, images)) == [repr(((*x, *y),)) for x, y, _ in want]
+        for which, f in ((1, spec.f1), (2, spec.f2)):
+            got = _coordinates(_section(spec, f, cols, count), count)
+            want = [section_point(spec, which, q) for q in qs]
+            assert list(map(repr, got)) == [repr((w.z, w.t, w.y)) for w in want]
+        assert repr(cols) == kept  # the batch functions replace columns
+
+
+def _fix_specs(monkeypatch):
+    """Make random_spec return two fixed (2, 3, 1) specs in turn: its
+    shapes would depend on how many points the rng drew before it."""
+    specs = itertools.cycle([random_spec(random.Random(i), 2, 3, 1) for i in range(2)])
+    monkeypatch.setattr(localmodel, "random_spec", lambda rng, n, k, m: next(specs))
 
 
 def _plan_walks(monkeypatch, samples):
-    """_eval_plan calls of one run_local_checks(2, 3, 1) at seed 0.  The
-    specs are fixed: random_spec's shapes would depend on how many points
-    the rng drew before it."""
-    specs = itertools.cycle([random_spec(random.Random(i), 2, 3, 1) for i in range(2)])
-    monkeypatch.setattr(localmodel, "random_spec", lambda rng, n, k, m: next(specs))
+    """_eval_plan calls of one run_local_checks(2, 3, 1) at seed 0, with
+    the specs fixed."""
+    _fix_specs(monkeypatch)
     calls = []
     walk = localmodel._eval_plan
     monkeypatch.setattr(localmodel, "_eval_plan", lambda *args: calls.append(1) or walk(*args))
@@ -420,6 +441,28 @@ def test_each_batch_of_samples_walks_each_plan_once(monkeypatch):
     assert localmodel._BATCH == 64
     walks = {s: _plan_walks(monkeypatch, s) for s in (10, 50, 64, 65)}
     assert walks[10] == walks[50] == walks[64] < walks[65]
+
+
+def _point_constructions(monkeypatch, samples):
+    """ModelPoint and OrbitPoint constructions in one run_local_checks(2,
+    3, 1) at seed 0, with the specs fixed."""
+    _fix_specs(monkeypatch)
+    built = collections.Counter()
+    for cls in (ModelPoint, OrbitPoint):
+        def init(self, *args, _cls=cls, _init=cls.__init__):
+            built[_cls.__name__] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    run_local_checks(2, 3, 1, samples=samples, seed=0)
+    monkeypatch.undo()
+    return built
+
+
+def test_the_checks_build_no_point_per_sample(monkeypatch):
+    built = {s: _point_constructions(monkeypatch, s) for s in (10, 64, 65)}
+    # Only the base point of each of the five smoothness probes.
+    assert built[10] == built[64] == built[65] == {"ModelPoint": 5}
 
 
 def test_memory_of_the_checks_is_bounded_by_the_batch():
@@ -439,24 +482,57 @@ def test_the_probe_memo_keeps_the_report_and_lifts_17_points():
     n, k, m = 2, 3, 1
     spec = random_spec(rng, n, k, m)
     base = random_model_point(rng, n, k, m, boundary_prob=0.0)
-    lifted = []
+    lifted, batches = [], []
 
     def slice_component(s):
         lifted.append(s)
         z = (complex(s, 0.0),) + base.z[1:]
         return lift_diffeo(spec, ModelPoint(z, base.t, base.y)).z[0].real
 
-    plain = smoothness_probe(slice_component, 0.0, 2)
-    assert len(lifted) == 60
-    lifted.clear()
-    memoised = smoothness_probe(_memoised(slice_component), 0.0, 2)
-    assert repr(memoised) == repr(plain)
-    assert len(lifted) == len(set(lifted)) == 17
+    def slice_components(args):  # as run_local_checks lifts the slice
+        batches.append(list(args))
+        count = len(args)
+        z, t, y = ([[v] * count for v in part] for part in (base.z, base.t, base.y))
+        z[0] = [complex(s, 0.0) for s in args]
+        return [v.real for v in _lift(spec, (z, t, y), count)[0][0]]
 
-    seen = []
-    sign = _memoised(lambda s: seen.append(s) or math.copysign(1.0, s))
-    assert [sign(v) for v in (0.0, -0.0, 0.0, -0.0)] == [1.0, -1.0, 1.0, -1.0]
-    assert list(map(repr, seen)) == ["0.0", "-0.0"]
+    plain = smoothness_probe(slice_component, 0.0, 2)
+    assert len(lifted) == 60 and len(set(lifted)) == 17
+    batched = _batch_probe(slice_components, 0.0, 2)
+    assert repr(batched) == repr(plain)
+    assert len(batches) == 1 and sorted(batches[0]) == sorted(set(lifted))
+
+    # When the batch raises, each argument is lifted alone, once.
+    batches.clear()
+
+    def one_at_a_time(args):
+        if len(args) > 1:
+            raise LocalModelError("too many")
+        return slice_components(args)
+
+    assert repr(_batch_probe(one_at_a_time, 0.0, 2)) == repr(plain)
+    assert len(batches) == 17 and sorted(a for a, in batches) == sorted(set(lifted))
+
+    # A side whose arguments fail is not evaluable, as one point at a time.
+    def right_only(s):
+        if s < 0:
+            raise ValueError("left of the slice")
+        return slice_component(s)
+
+    def right_only_batch(args):
+        return [right_only(s) for s in args]
+
+    report = _batch_probe(right_only_batch, 0.0, 2)
+    assert repr(report) == repr(smoothness_probe(right_only, 0.0, 2))
+    assert all(e.left is None for e in report.estimates)
+
+
+def test_the_probe_never_asks_for_negative_zero():
+    # _batch_probe keys its values by float, which merges -0.0 with 0.0.
+    for at in (0.0, -0.0, 1.0):
+        asked = []
+        smoothness_probe(lambda s: asked.append(s) or s, at, 4)
+        assert all(math.copysign(1.0, s) == 1.0 for s in asked if s == 0.0)
 
 
 def test_orbit_maps_sections_and_actions_match_the_reference():
@@ -504,6 +580,46 @@ def test_internal_results_keep_the_constructor_checks():
         torus_act([math.inf], ModelPoint([1j], [], []), 1)
     with pytest.raises(LocalModelError, match="non-finite coordinate"):
         orbit_map(ModelPoint([complex(1e200, 0.0)], [], []))
+
+
+def test_a_failing_batch_raises_the_first_failing_points_error():
+    # y * 1e308 * 1e308 overflows unless y is 0 or tiny; the angle 1e300 * x
+    # of f2 overflows once x = |z|^2 > 1.8e8, which makes z nan.
+    scale = FaceDiffeo(1, 1, [YScaleLayer(0, 1e308), YScaleLayer(0, 1e308)])
+    f2 = TorusMap.from_polys(1, 1, 1, [Polynomial(2, {(1, 0): 1e300})])
+    spec = SmoothMapSpec(1, 1, 1, scale, TorusMap.identity(1, 1, 1), f2)
+    fine = ModelPoint([0.5], [], [0.0])
+    bad_y = ModelPoint([0.5], [], [0.5])
+    bad_z = ModelPoint([2e4], [], [1e-320])
+    messages = set()
+    for points in ([fine, bad_y, bad_z], [fine, bad_z, bad_y], [bad_z, bad_y], [fine, bad_y]):
+        first = next(p for p in points if p is not fine)
+        with pytest.raises(LocalModelError) as want:
+            lift_diffeo_reference(spec, first)
+        messages.add(str(want.value))
+        for lift in (
+            lambda: lift_diffeo(spec, first),
+            lambda: _lift(spec, _batch(points), len(points)),
+        ):
+            with pytest.raises(LocalModelError) as got:
+                lift()
+            assert str(got.value) == str(want.value)
+    assert messages == {"non-finite coordinate", "non-finite z entry (nan+nanj)"}
+
+    # Orbit points: a negative x at the second point, a nan at the third.
+    cols = [[0.5, -1.0, math.nan], [0.0, 0.0, 0.0]]
+    for batch, message in ((cols, "negative x"), ([c[::-1] for c in cols], "non-finite")):
+        with pytest.raises(LocalModelError, match=message):
+            _orbit_batch(batch, 1, 3)
+
+
+def test_tiny_negative_angles_reduce_into_the_half_open_range():
+    for a in (-1e-20, -1e-300, -5e-324):
+        p = ModelPoint([], [a], [])
+        assert repr(p.t) == "(0.0,)"
+        _assert_same_point(ModelPoint(p.z, p.t, p.y), p)
+        for b in (1e-9, 1.0, TWO_PI - 1e-9):
+            assert angle_distance(a, b) == angle_distance(0.0, b)
 
 
 def test_infinite_angles_are_non_finite_coordinates():

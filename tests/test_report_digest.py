@@ -13,7 +13,10 @@ what differs.
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 HASHES = ROOT / "tests" / "report_digest.sha256.json"
@@ -37,3 +40,15 @@ def test_digest_reports_match_the_recorded_hashes(tmp_path, monkeypatch):
     problems += [f"added: {line}" for line in got if line not in want]
     problems += [f"missing: {line}" for line in want if line not in got]
     assert not problems, "\n".join(problems)
+
+
+def test_an_option_alone_prints_the_usage_and_writes_nothing(tmp_path, monkeypatch):
+    script = _load_script()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONHASHSEED", "0")  # no re-execution
+    for argv in (["--help"], ["-h"], ["--hash"], ["--hashes", "-o"]):
+        monkeypatch.setattr(sys, "argv", ["report_digest.py", *argv])
+        with pytest.raises(SystemExit) as stop:
+            script.main()
+        assert stop.value.code == script.__doc__.split("\n\n")[1]  # exit status 1
+    assert list(tmp_path.iterdir()) == []
