@@ -4,24 +4,21 @@ Canonical serialization is sorted keys, two-space indent, LF newlines,
 UTF-8, and a single trailing newline; byte-identical output is part of the
 determinism contract, so nothing here may depend on dict iteration order.
 
-``canonical_json`` writes that text with a writer of its own, equal byte
-for byte to ``json.dumps(obj, sort_keys=True, indent=2,
-ensure_ascii=False)`` plus the newline; ``tests/oracles.py`` keeps that call
-as ``canonical_json_reference``.  Within one call the writer memoises, per
-indent depth, the text of each flat list of ints and of each
-``"key": [ints]`` entry, since census reports repeat a few label vectors
-thousands of times.
+``canonical_json`` writes that text for the values reports are built
+from: exact dicts with ``str`` keys, lists, tuples, strs, ints, floats,
+bools and None.  On those it equals, byte for byte and errors included,
+``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` plus the
+newline; ``tests/oracles.py`` keeps that call as
+``canonical_json_reference``.  Any other value raises ``TypeError``, and a
+cyclic one ``RecursionError``.
 
-A census report is mostly a *record array*: a list of at least two
-distinct dicts that share one tuple of ``str`` keys, such as its classes
-and their labels.  The writer lays such an array out column by column,
-reading each column once, and joins each row's cells in one pass, so it
-makes no call per record.  It does so only when every column holds exact
-ints, exact strs, non-empty flat int lists, or dicts that themselves form a
-record array, and no row is open or a row of an enclosing record array.
-Anything else sends the whole array to the per-value path, which raises
-what ``json.dumps`` raises and in the same order; an int too long to
-convert does too, so the record path never raises.
+A census report is mostly a *record array*: a list of at least two dicts
+that share one tuple of ``str`` keys, such as its classes and their
+labels.  The writer lays such an array out column by column, reading each
+column once, and joins each row's cells in one pass, so it makes no call
+per record.  Within one call it memoises, per indent depth, the text of
+each flat list of ints, since census reports repeat a few label vectors
+thousands of times.
 """
 
 from __future__ import annotations
@@ -62,24 +59,26 @@ class ParsedDocument:
 
 
 def canonical_json(obj: Any) -> str:
-    """The canonical text of a JSON value, with one trailing newline.
+    """The canonical text of a report value, with one trailing newline.
 
-    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
-    ensure_ascii=False) + "\\n"``, errors included; ``tests/oracles.py``
-    keeps that call as ``canonical_json_reference``.  ``json.dumps`` runs
-    its pure-Python encoder whenever ``indent`` is set, so this writer lays
-    out the containers itself and leaves every string to the C encoder.
-    Within one call it memoises, per indent depth, the text of each flat
-    list of ints and of each ``"key": [ints]`` entry, keyed by the list's
-    identity: census reports repeat a few label vectors thousands of times.
+    A report value is an exact ``dict`` with ``str`` keys, ``list``,
+    ``tuple``, ``str``, ``int``, ``float``, ``bool`` or ``None``, nested.
+    On those the text is exactly ``json.dumps(obj, sort_keys=True,
+    indent=2, ensure_ascii=False) + "\\n"``, errors included (NaN and
+    infinities as ``json`` writes them, an int too long to convert);
+    ``tests/oracles.py`` keeps that call as ``canonical_json_reference``.
+    Any other type, a subclass included, raises ``TypeError``, as does a
+    non-``str`` key; a cyclic value raises ``RecursionError``.
 
-    A list or tuple of two or more distinct dicts with one tuple of ``str``
-    keys (a record array, such as a census's classes) is laid out column
-    by column when each column holds only exact ints, only exact strs,
-    only non-empty flat int lists, or only dicts that are again a record
-    array, and no row is open or a row of an enclosing record array.  Any
-    other array, or one holding an int too long to convert, is written
-    value by value, so errors and their order are those of ``json.dumps``.
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set,
+    so this writer lays out the containers itself and leaves every string
+    to the C encoder.  A list or tuple of two or more dicts with one
+    tuple of ``str`` keys (a record array, such as a census's classes) is
+    laid out column by column when each column holds only exact ints,
+    only exact strs, only non-empty flat int lists, or only dicts that are
+    again a record array.  Any other array, or one holding an int too long
+    to convert, is written value by value, so the first error in document
+    order is raised.
     """
     return _Writer().value(obj, 0) + "\n"
 
@@ -97,40 +96,20 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _key_text(key: Any) -> str:
-    """The quoted text of a dict key, converted as ``json`` converts it."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, float):
-        return _encode_str(_float_text(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _encode_str(int.__repr__(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
-
-
 class _Writer:
-    """One ``canonical_json`` call: its memos and its open containers.
+    """One ``canonical_json`` call and its memo of flat int lists.
 
-    A list's identity is a safe memo key because every list met is
-    reachable from the value being written, so none is freed, and no id
-    reused, before the call returns.
+    Census reports repeat a few label vectors thousands of times, so the
+    text of each flat list of ints is kept per indent depth.  A list's
+    identity is a safe memo key because every list met is reachable from
+    the value being written, so none is freed, and no id reused, before the
+    call returns.
     """
 
-    __slots__ = ("flat", "entries", "open", "rows")
+    __slots__ = ("flat",)
 
     def __init__(self) -> None:
         self.flat: dict[tuple[int, int], str] = {}  # (id, depth) -> text
-        self.entries: dict[tuple[str, int, int], str] = {}  # (key, id, depth)
-        self.open: set[int] = set()  # ids of the containers being written
-        self.rows: set[int] = set()  # ids of the rows of the record arrays being written
 
     def value(self, o: Any, depth: int) -> str:
         t = type(o)
@@ -150,17 +129,6 @@ class _Writer:
             return "true"
         if o is False:
             return "false"
-        # Subclasses, tested in json's order.
-        if isinstance(o, str):
-            return _encode_str(o)
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return _float_text(o)
-        if isinstance(o, (list, tuple)):
-            return self.array(o, depth)
-        if isinstance(o, dict):
-            return self.object(o, depth)
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
     def flat_ints(self, lst: Any, depth: int) -> Optional[str]:
@@ -177,31 +145,20 @@ class _Writer:
             )
         return text
 
-    def enter(self, container: Any) -> int:
-        marker = id(container)
-        if marker in self.open:
-            raise ValueError("Circular reference detected")
-        self.open.add(marker)
-        return marker
-
     def array(self, lst: Any, depth: int) -> str:
         if not lst:
             return "[]"
         text = self.flat_ints(lst, depth)
         if text is not None:
             return text
-        inner = "\n" + "  " * (depth + 1)
-        t = type(lst)
-        if (t is list or t is tuple) and len(lst) > 1:
-            slots = self.records(lst, depth + 1)
-            if slots is not None:
-                rows = map("".join, zip(*slots))
-                return "[" + inner + ("," + inner).join(rows) + inner[:-2] + "]"
-        marker = self.enter(lst)
-        value, d = self.value, depth + 1
-        text = "[" + inner + ("," + inner).join([value(x, d) for x in lst]) + inner[:-2] + "]"
-        self.open.discard(marker)
-        return text
+        d = depth + 1
+        slots = self.records(lst, d)
+        if slots is None:
+            rows: Iterable[str] = [self.value(x, d) for x in lst]
+        else:
+            rows = map("".join, zip(*slots))
+        inner = "\n" + "  " * d
+        return "[" + inner + ("," + inner).join(rows) + inner[:-2] + "]"
 
     def records(self, rows: Any, depth: int) -> Optional[list[Iterable[str]]]:
         """``rows`` as objects at ``depth``, laid out column by column, or
@@ -211,12 +168,10 @@ class _Writer:
         a ``repeat`` of the text before a column's cells, then the cells,
         one per row; ``"".join`` over the slots gives each row.  A column
         of dicts contributes the slots of its own record array.  Nothing
-        here raises: the per-value path that runs on None raises what
-        ``json.dumps`` raises, in its order.  Only dict cells hold
-        containers, and no row may be open or a row of an enclosing record
-        array, so every cycle is met on that path.
+        here raises, except ``RecursionError`` on a cycle: on None the
+        per-value path raises the first error in document order.
         """
-        if {*map(type, rows)} != {dict}:
+        if len(rows) < 2 or {*map(type, rows)} != {dict}:
             return None
         keys = tuple(rows[0])
         if (
@@ -225,21 +180,15 @@ class _Writer:
             or {*map(type, chain.from_iterable(rows))} != {str}
         ):
             return None
-        ids = {*map(id, rows)}
-        if len(ids) < len(rows) or not ids.isdisjoint(self.open) or not ids.isdisjoint(self.rows):
-            return None
-        self.rows |= ids
         inner = "\n" + "  " * (depth + 1)
         glue, slots = "{" + inner, []
         for key in sorted(keys):
             cells = self.column(list(map(itemgetter(key), rows)), depth + 1)
             if cells is None:
-                self.rows -= ids
                 return None
             slots.append(repeat(glue + _encode_str(key) + ": "))
             slots += cells
             glue = "," + inner
-        self.rows -= ids
         slots.append(repeat(inner[:-2] + "}"))
         return slots
 
@@ -275,30 +224,10 @@ class _Writer:
     def object(self, dct: dict, depth: int) -> str:
         if not dct:
             return "{}"
-        marker = self.enter(dct)
         d = depth + 1
-        entries, value = self.entries, self.value
-        parts = []
-        for key, v in sorted(dct.items()):
-            if type(key) is not str:
-                parts.append(_key_text(key) + ": " + value(v, d))
-                continue
-            t = type(v)
-            if (t is list or t is tuple) and v:
-                memo = (key, id(v), d)
-                entry = entries.get(memo)
-                if entry is None:
-                    text = self.flat_ints(v, d)
-                    if text is None:
-                        entry = _encode_str(key) + ": " + self.array(v, d)
-                    else:
-                        entry = entries[memo] = _encode_str(key) + ": " + text
-                parts.append(entry)
-            else:
-                parts.append(_encode_str(key) + ": " + value(v, d))
-        inner = "\n" + "  " * d
-        self.open.discard(marker)
-        return "{" + inner + ("," + inner).join(parts) + inner[:-2] + "}"
+        value, inner = self.value, "\n" + "  " * d
+        entries = [_encode_str(key) + ": " + value(v, d) for key, v in sorted(dct.items())]
+        return "{" + inner + ("," + inner).join(entries) + inner[:-2] + "}"
 
 
 _DOCUMENT_KEYS = frozenset({"k", "dim_orbit", "faces", "covers", "lambda", "attestations"})

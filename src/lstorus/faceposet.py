@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Any, Iterable
 
 
 class PosetError(ValueError):
@@ -42,6 +42,17 @@ class ValidityReport:
         return [v for v in self.violations if v.kind == kind]
 
 
+def _pair(entry: Any, what: str) -> tuple:
+    """entry unpacked as a pair; a str, though it may unpack, is not one."""
+    if not isinstance(entry, str):
+        try:
+            a, b = entry
+            return a, b
+        except (TypeError, ValueError):
+            pass
+    raise PosetError(f"{what} {entry!r} is not a pair")
+
+
 class FacePoset:
     """Graded face poset of an orbit space, immutable after construction."""
 
@@ -52,7 +63,8 @@ class FacePoset:
         dim_orbit: int,
     ):
         codim: dict[str, int] = {}
-        for fid, c in faces:
+        for entry in faces:
+            fid, c = _pair(entry, "face")
             if not isinstance(fid, str) or not fid:
                 raise PosetError(f"face id must be a nonempty string, got {fid!r}")
             if fid in codim:
@@ -67,7 +79,7 @@ class FacePoset:
 
         cover_set: set[tuple[str, str]] = set()
         for pair in covers:
-            lo, up = pair
+            lo, up = _pair(pair, "cover")
             if lo not in codim or up not in codim:
                 raise PosetError(f"cover ({lo!r}, {up!r}) references unknown face")
             if lo == up:

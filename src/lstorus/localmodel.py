@@ -83,17 +83,6 @@ def _reduce_angle(a: float) -> float:
     return (r + TWO_PI) % TWO_PI if r < 0 else r
 
 
-def _exact(values: Sequence, kind: type) -> tuple:
-    """values as a tuple of kind.  kind() runs only when some entry is not
-    exactly of that type (on such entries it would return the entry
-    itself), so computed points cost no conversions."""
-    values = tuple(values)
-    for v in values:
-        if type(v) is not kind:
-            return tuple(map(kind, values))
-    return values
-
-
 def _col(values):
     """The columns of a batch of one point with these coordinates."""
     return [[v] for v in values]
@@ -118,7 +107,7 @@ class ModelPoint:
     y: tuple[float, ...]
 
     def __init__(self, z: Sequence[complex], t: Sequence[float], y: Sequence[float]):
-        z, t, y = _exact(z, complex), _exact(t, float), _exact(y, float)
+        z, t, y = tuple(map(complex, z)), tuple(map(float, t)), tuple(map(float, y))
         for v in z:
             if not cmath.isfinite(v):
                 raise LocalModelError(f"non-finite z entry {v!r}")
@@ -142,7 +131,7 @@ class OrbitPoint:
     y: tuple[float, ...]
 
     def __init__(self, x: Sequence[float], y: Sequence[float]):
-        x, y = _exact(x, float), _exact(y, float)
+        x, y = tuple(map(float, x)), tuple(map(float, y))
         for v in x:
             if v < 0:
                 raise LocalModelError(f"negative x coordinate in {x}")
@@ -343,7 +332,10 @@ def _run_layers(layers: Sequence[Layer], n: int, cols: list, count: int) -> list
             i = layer.index
             vals = _eval_plan(layer.q._plan, cols, count)
             logs[i] = [a + v for a, v in zip(logs[i], vals)]
-            cols[i] = [x * math.exp(v) for x, v in zip(cols[i], vals)]
+            try:
+                cols[i] = [x * math.exp(v) for x, v in zip(cols[i], vals)]
+            except OverflowError as exc:
+                raise LocalModelError("x-scale multiplier overflows") from exc
         elif kind is YShearLayer:
             j = n + layer.index
             cols[j] = [a + v for a, v in zip(cols[j], _eval_plan(layer.p._plan, cols, count))]
@@ -585,10 +577,13 @@ def _lift(spec, batch, count):
         raise LocalModelError("face preservation violated at runtime")
     a1 = spec.f1._angles(before, count)
     a2 = spec.f2._angles(after, count)
-    zs = [
-        [v * math.exp(0.5 * lg) * cmath.exp(1j * (b - a)) for v, lg, a, b in zip(*cols)]
-        for cols in zip(z, logs, a1, a2)
-    ]
+    try:
+        zs = [
+            [v * math.exp(0.5 * lg) * cmath.exp(1j * (b - a)) for v, lg, a, b in zip(*cols)]
+            for cols in zip(z, logs, a1, a2)
+        ]
+    except OverflowError as exc:
+        raise LocalModelError("z multiplier overflows") from exc
     ts = [[v + (b - a) for v, a, b in zip(*cols)] for cols in zip(t, a1[n:], a2[n:])]
     return _model_batch(zs, ts, after[n:], count)
 

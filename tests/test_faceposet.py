@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -101,6 +102,24 @@ def test_construction_errors():
         FacePoset([("T", -1)], [], 1)
     with pytest.raises(PosetError):
         FacePoset([], [], 1)
+
+
+@pytest.mark.parametrize(
+    "faces, covers",
+    [
+        ([("a", 0), ("b", 1)], ["ab"]),
+        ([("a", 0), ("b", 1)], [("a", "b", "c")]),
+        ([("a", 0), ("b", 1)], [("a",)]),
+        ([("a", 0), ("b", 1)], [3]),
+        ([("a", 0, 1)], []),
+        ([("a", 0), 3], []),
+        (["a0"], []),
+    ],
+)
+def test_malformed_pairs_raise_poset_error_naming_the_entry(faces, covers):
+    bad = covers[0] if covers else faces[-1]
+    with pytest.raises(PosetError, match=f"^(face|cover) {re.escape(repr(bad))} is not a pair$"):
+        FacePoset(faces, covers, 1)
 
 
 def test_accessors_on_square():

@@ -613,6 +613,21 @@ def test_a_failing_batch_raises_the_first_failing_points_error():
             _orbit_batch(batch, 1, 3)
 
 
+def test_overflowing_multipliers_raise_local_model_error():
+    # exp(1000 y) overflows at y = 1 in the x-scale layer.  Three layers of
+    # exp(700 y) keep x = |z|^2 = 1e-600, which is 0.0, at 0.0, but the
+    # lift's sqrt of the multiplier, exp(1050), overflows.
+    ident = TorusMap.identity(1, 1, 1)
+    big = FaceDiffeo(1, 1, [XScaleLayer(0, Polynomial(2, {(0, 1): 1000.0}))])
+    with pytest.raises(LocalModelError, match="x-scale multiplier overflows"):
+        big.apply(OrbitPoint([1.0], [1.0]))
+    with pytest.raises(LocalModelError, match="x-scale multiplier overflows"):
+        lift_diffeo(SmoothMapSpec(1, 1, 1, big, ident, ident), ModelPoint([1.0], [], [1.0]))
+    three = FaceDiffeo(1, 1, [XScaleLayer(0, Polynomial(2, {(0, 1): 700.0}))] * 3)
+    with pytest.raises(LocalModelError, match="z multiplier overflows"):
+        lift_diffeo(SmoothMapSpec(1, 1, 1, three, ident, ident), ModelPoint([1e-300], [], [1.0]))
+
+
 def test_tiny_negative_angles_reduce_into_the_half_open_range():
     for a in (-1e-20, -1e-300, -5e-324):
         p = ModelPoint([], [a], [])
