@@ -62,6 +62,7 @@ from lstorus.documents import (  # noqa: E402
     serialize_pair,
     serialize_poset,
 )
+from lstorus.faceposet import FacePoset  # noqa: E402
 from lstorus.lattice import PrimitiveVector, random_unimodular  # noqa: E402
 
 # (poset, k, B): every census setting of the benchmark's census workloads.
@@ -79,6 +80,8 @@ CENSUS = [
     ("square", 3, 1),
     ("triangle", 4, 1),
     ("square", 1, 2),
+    # No facet: one class whose labels are empty.
+    ("point", 1, 1),
 ]
 # (poset, k, B) settings whose census the default budget refuses.  The box
 # holds 25^4 points, so listing it before the refusal takes visible time.
@@ -90,6 +93,7 @@ POSETS = {
     "square": fixtures.square_poset,
     "pentagon": fixtures.pentagon_poset,
     "hexagon": lambda: fixtures.polygon_poset(6),
+    "point": lambda: FacePoset([("P", 0)], [], 0),
 }
 # (n, k, m) shapes: the four of the benchmark's localcheck workload, then
 # shapes without z (n = 0), without y (m = 0) and a larger one; and the

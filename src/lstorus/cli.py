@@ -16,13 +16,15 @@ a census spec or poset that cannot run "census", a census over budget
 on stderr; --help alone prints plain text.  Reports can also be written to
 a file, atomically, with --output; the file is written before stdout, so a
 failed write prints only its "io" report.  "internal" and command line
-"usage" reports go to stdout only.  Input files are never modified.
+"usage" reports go to stdout only.  Input files are never modified: an
+--output that names one is a command line error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Optional
 
@@ -43,6 +45,7 @@ from .classify import (
 )
 from .documents import (
     DocumentError,
+    Records,
     SCHEMA_VERSION,
     canonical_json,
     parse_document,
@@ -157,9 +160,7 @@ def cmd_validate(args: argparse.Namespace) -> tuple[dict, int]:
         "valid": valid,
         "lambda_present": doc.pair is not None,
         "poset_violations": validity_to_object(poset_report),
-        "label_violations": validity_to_object(label_report)
-        if label_report is not None
-        else [],
+        "label_violations": [] if label_report is None else validity_to_object(label_report),
         "faces": len(doc.poset),
         "dim_orbit": doc.poset.dim_orbit,
         "k": doc.k,
@@ -175,9 +176,7 @@ def _load_valid_pair(path: str) -> CharacteristicPair:
         raise DocumentError(f"{path}: document has no lambda key")
     poset_report = doc.pair.poset.validate()
     if not poset_report.valid:
-        raise _InvalidInput(
-            f"{path}: poset is invalid", validity_to_object(poset_report)
-        )
+        raise _InvalidInput(f"{path}: poset is invalid", validity_to_object(poset_report))
     label_report = validate_characteristic(doc.pair)
     if not label_report.valid:
         raise _InvalidInput(
@@ -192,10 +191,7 @@ def cmd_iso(args: argparse.Namespace) -> tuple[dict, int]:
     b = _load_valid_pair(args.path_b)
     decide = strong_equivalence if args.mode == "strong" else weak_equivalence
     verdict = decide(a, b)
-    report = {
-        "inputs": [args.path_a, args.path_b],
-        "verdict": _verdict_object(verdict),
-    }
+    report = {"inputs": [args.path_a, args.path_b], "verdict": _verdict_object(verdict)}
     return report, 0 if verdict.equivalent else 1
 
 
@@ -207,28 +203,24 @@ def cmd_canon(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_census(args: argparse.Namespace) -> tuple[dict, int]:
     doc = parse_document(_read(args.poset))
     spec = CensusSpec(
-        poset=doc.poset,
-        k=args.k,
-        entry_bound=args.bound,
-        dedup=args.dedup,
-        budget=args.budget,
+        poset=doc.poset, k=args.k, entry_bound=args.bound, dedup=args.dedup, budget=args.budget
     )
     result = enumerate_census(spec)
+    # The classes as columns: a label column per facet, and the sizes.
+    n = len(result.classes)
+    labels = dict(zip(result.facet_order, zip(*(rep for rep, _ in result.classes))))
     report = {
         "k": args.k,
         "entry_bound": args.bound,
         "dedup": args.dedup,
         "facet_order": list(result.facet_order),
         "total_valid": result.total_valid,
-        "class_count": len(result.classes),
-        "classes": [
-            {"labels": dict(zip(result.facet_order, rep)), "size": size}
-            for rep, size in result.classes
-        ],
+        "class_count": n,
+        "classes": Records(n, {
+            "labels": Records(n, labels), "size": [size for _, size in result.classes]
+        }),
         "stats": {
-            "faces_per_codim": {
-                str(c): n for c, n in sorted(result.faces_per_codim.items())
-            },
+            "faces_per_codim": {str(c): m for c, m in sorted(result.faces_per_codim.items())},
             "euler_count": result.euler_count,
         },
     }
@@ -236,9 +228,7 @@ def cmd_census(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_localcheck(args: argparse.Namespace) -> tuple[dict, int]:
-    result = run_local_checks(
-        args.n, args.k, args.m, samples=args.samples, seed=args.seed
-    )
+    result = run_local_checks(args.n, args.k, args.m, samples=args.samples, seed=args.seed)
     return result, 0 if result["passed"] else 1
 
 
@@ -260,20 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a pair document")
     p.add_argument("path")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("iso", help="decide equivalence of two pairs")
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("--mode", choices=["strong", "weak"], default="strong")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("canon", help="canonical form of a pair")
     p.add_argument("path")
     p.add_argument("--mode", choices=["strong", "weak"], default="strong")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_canon)
 
     p = sub.add_parser("census", help="enumerate labelings over a poset")
@@ -282,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--dedup", choices=["none", "strong", "weak"], default="none")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("localcheck", help="numeric chart-formula checks")
@@ -291,14 +277,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_localcheck)
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None)
     return parser
+
+
+def _check_output(args: argparse.Namespace) -> None:
+    """Refuse an --output that names an input file of the command."""
+    output = args.output
+    if not output or not os.path.exists(output):
+        return
+    for name in ("path", "path_a", "path_b", "poset"):
+        path = getattr(args, name, None)
+        if path is not None and os.path.exists(path) and os.path.samefile(path, output):
+            raise _UsageError(f"--output {output} is the input {path}", f"lstorus {args.command}")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_output(args)
     except _UsageError as exc:
         _emit(_error_report(exc.command, exc), None)
         return 2

@@ -3,22 +3,10 @@
 Canonical serialization is sorted keys, two-space indent, LF newlines,
 UTF-8, and a single trailing newline; byte-identical output is part of the
 determinism contract, so nothing here may depend on dict iteration order.
-
-``canonical_json`` writes that text for the values reports are built
-from: exact dicts with ``str`` keys, lists, tuples, strs, ints, floats,
-bools and None.  On those it equals, byte for byte and errors included,
-``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` plus the
-newline; ``tests/oracles.py`` keeps that call as
-``canonical_json_reference``.  Any other value raises ``TypeError``, and a
-cyclic one ``RecursionError``.
-
-A census report is mostly a *record array*: a list of at least two dicts
-that share one tuple of ``str`` keys, such as its classes and their
-labels.  The writer lays such an array out column by column, reading each
-column once, and joins each row's cells in one pass, so it makes no call
-per record.  Within one call it memoises, per indent depth, the text of
-each flat list of ints, since census reports repeat a few label vectors
-thousands of times.
+``canonical_json`` writes that text with a writer of its own, equal to
+``json.dumps`` on report values.  A census report is mostly its classes,
+which ``cmd_census`` passes as ``Records``, an array of objects held as
+columns: the writer lays out each column once and makes no call per class.
 """
 
 from __future__ import annotations
@@ -30,9 +18,8 @@ import stat
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring as _encode_str
-from operator import itemgetter
 from typing import Any, Iterable, Optional
 
 from .charpair import Attestations, CharacteristicPair, CharPairError
@@ -58,27 +45,47 @@ class ParsedDocument:
     k: Optional[int]
 
 
+class Records:
+    """An array of ``count`` objects held as columns, for ``canonical_json``.
+
+    ``columns`` maps each key, an exact ``str``, to a sequence of ``count``
+    cells or to a nested ``Records`` of ``count`` rows.  No keys still
+    means ``count`` empty objects.  It is no list, so ``json.dumps``
+    refuses it.
+    """
+
+    __slots__ = ("count", "columns")
+
+    def __init__(self, count: int, columns: dict) -> None:
+        self.count = count
+        self.columns = columns
+
+    def rows(self) -> list[dict]:
+        """The array as a list of dicts."""
+        cols = {k: c.rows() if type(c) is Records else c for k, c in self.columns.items()}
+        return [{k: c[i] for k, c in cols.items()} for i in range(self.count)]
+
+
 def canonical_json(obj: Any) -> str:
     """The canonical text of a report value, with one trailing newline.
 
     A report value is an exact ``dict`` with ``str`` keys, ``list``,
-    ``tuple``, ``str``, ``int``, ``float``, ``bool`` or ``None``, nested.
-    On those the text is exactly ``json.dumps(obj, sort_keys=True,
-    indent=2, ensure_ascii=False) + "\\n"``, errors included (NaN and
-    infinities as ``json`` writes them, an int too long to convert);
-    ``tests/oracles.py`` keeps that call as ``canonical_json_reference``.
-    Any other type, a subclass included, raises ``TypeError``, as does a
-    non-``str`` key; a cyclic value raises ``RecursionError``.
+    ``tuple``, ``str``, ``int``, ``float``, ``bool``, ``None`` or
+    ``Records``, nested.  On those the text is exactly ``json.dumps(obj,
+    sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``, a ``Records``
+    read as its ``rows()``, errors included (NaN and infinities as ``json``
+    writes them, an int too long to convert); ``tests/oracles.py`` keeps
+    that call as ``canonical_json_reference``.  Any other type, a subclass
+    included, raises ``TypeError``, as does a non-``str`` key; a cyclic
+    value raises ``RecursionError``.
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set,
     so this writer lays out the containers itself and leaves every string
-    to the C encoder.  A list or tuple of two or more dicts with one
-    tuple of ``str`` keys (a record array, such as a census's classes) is
-    laid out column by column when each column holds only exact ints,
-    only exact strs, only non-empty flat int lists, or only dicts that are
-    again a record array.  Any other array, or one holding an int too long
-    to convert, is written value by value, so the first error in document
-    order is raised.
+    to the C encoder.  A list of dicts is written value by value.  A
+    ``Records`` is laid out column by column when each column holds only
+    exact ints, only exact strs or only non-empty flat int lists, or is a
+    ``Records``; otherwise, or when an int is too long to convert, its rows
+    are, so the first error in document order is raised.
     """
     return _Writer().value(obj, 0) + "\n"
 
@@ -129,6 +136,8 @@ class _Writer:
             return "true"
         if o is False:
             return "false"
+        if t is Records:
+            return self.table(o, depth)
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
     def flat_ints(self, lst: Any, depth: int) -> Optional[str]:
@@ -152,48 +161,44 @@ class _Writer:
         if text is not None:
             return text
         d = depth + 1
-        slots = self.records(lst, d)
-        if slots is None:
-            rows: Iterable[str] = [self.value(x, d) for x in lst]
-        else:
-            rows = map("".join, zip(*slots))
         inner = "\n" + "  " * d
-        return "[" + inner + ("," + inner).join(rows) + inner[:-2] + "]"
+        return "[" + inner + ("," + inner).join([self.value(x, d) for x in lst]) + inner[:-2] + "]"
 
-    def records(self, rows: Any, depth: int) -> Optional[list[Iterable[str]]]:
-        """``rows`` as objects at ``depth``, laid out column by column, or
-        None when they are not a record array (see ``canonical_json``).
+    def table(self, rec: Records, depth: int) -> str:
+        slots = self.slots(rec, depth + 1) if rec.count else None
+        if slots is None:  # no rows, a mixed or unsupported column, or a huge int
+            return self.array(rec.rows(), depth)
+        inner = "\n" + "  " * (depth + 1)
+        return "[" + inner + ("," + inner).join(map("".join, zip(*slots))) + inner[:-2] + "]"
 
-        The result holds one iterable per slot of a row's text, in order:
-        a ``repeat`` of the text before a column's cells, then the cells,
-        one per row; ``"".join`` over the slots gives each row.  A column
-        of dicts contributes the slots of its own record array.  Nothing
-        here raises, except ``RecursionError`` on a cycle: on None the
-        per-value path raises the first error in document order.
+    def slots(self, rec: Records, depth: int) -> Optional[list[Iterable[str]]]:
+        """One iterable per slot of a row's text at ``depth``, in order, or
+        None when a column cannot be laid out (see ``canonical_json``).
+
+        The slots are a ``repeat`` of the text before each column's cells,
+        then the cells, one per row (a nested ``Records`` gives its own
+        slots); ``"".join`` over the slots gives each row.
         """
-        if len(rows) < 2 or {*map(type, rows)} != {dict}:
-            return None
-        keys = tuple(rows[0])
-        if (
-            not keys
-            or any(map(keys.__ne__, map(tuple, rows)))
-            or {*map(type, chain.from_iterable(rows))} != {str}
-        ):
-            return None
+        if not rec.columns:
+            return [repeat("{}", rec.count)]
         inner = "\n" + "  " * (depth + 1)
         glue, slots = "{" + inner, []
-        for key in sorted(keys):
-            cells = self.column(list(map(itemgetter(key), rows)), depth + 1)
+        for key in sorted(rec.columns):
+            cells = rec.columns[key]
+            try:
+                cells = (self.slots if type(cells) is Records else self.column)(cells, depth + 1)
+            except ValueError:  # an int past sys.get_int_max_str_digits()
+                return None
             if cells is None:
                 return None
             slots.append(repeat(glue + _encode_str(key) + ": "))
             slots += cells
             glue = "," + inner
-        slots.append(repeat(inner[:-2] + "}"))
+        slots.append(repeat(inner[:-2] + "}", rec.count))
         return slots
 
-    def column(self, cells: list, depth: int) -> Optional[list[Iterable[str]]]:
-        """The slots of the values of one record column, or None."""
+    def column(self, cells: Any, depth: int) -> Optional[list[Iterable[str]]]:
+        """The slots of the values of one column, or None."""
         kinds = {*map(type, cells)}
         if len(kinds) != 1:
             return None
@@ -201,25 +206,13 @@ class _Writer:
         if kind is str:
             return [map(_encode_str, cells)]
         if kind is int:
-            try:
-                return [list(map(int.__repr__, cells))]
-            except ValueError:  # past sys.get_int_max_str_digits()
-                return None
-        if kind is dict:
-            return self.records(cells, depth)
+            return [list(map(int.__repr__, cells))]
         if kind is not list and kind is not tuple:
             return None
         # Census columns hold a few label vectors many times over.
-        texts = {}
-        for marker, v in dict(zip(map(id, cells), cells)).items():
-            try:
-                text = self.flat_ints(v, depth) if v else None
-            except ValueError:
-                return None
-            if text is None:
-                return None
-            texts[marker] = text
-        return [map(texts.__getitem__, map(id, cells))]
+        distinct = dict(zip(map(id, cells), cells))
+        texts = {i: self.flat_ints(v, depth) if v else None for i, v in distinct.items()}
+        return None if None in texts.values() else [map(texts.__getitem__, map(id, cells))]
 
     def object(self, dct: dict, depth: int) -> str:
         if not dct:
@@ -388,23 +381,30 @@ def write_atomic(path: str, content: str) -> None:
 
     The file gets the mode that ``open(path, "w")`` would give it: a file
     being replaced keeps its mode, and a new one gets ``0o666`` less the
-    umask (``mkstemp`` alone would make it 0600).  A failure leaves no temp
-    file behind, and its ``OSError`` names ``path``, not the temp file.
+    umask (``mkstemp`` alone would make it 0600).  A target that is no
+    regular file, such as a FIFO or a device, is written in place, and a
+    symlink is resolved, so the rename replaces its target.  A failure
+    leaves no temp file behind, and its ``OSError`` names ``path``, not the
+    temp file.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
+            st_mode = os.stat(path).st_mode
         except FileNotFoundError:
             umask = os.umask(0)
             os.umask(umask)
-            mode = 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lstorus-", suffix=".tmp")
+            st_mode = stat.S_IFREG | 0o666 & ~umask
+        if not stat.S_ISREG(st_mode):
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(content)
+            return
+        real = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".lstorus-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(content)
-        os.chmod(tmp, mode)
-        os.replace(tmp, path)
+        os.chmod(tmp, stat.S_IMODE(st_mode))
+        os.replace(tmp, real)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)

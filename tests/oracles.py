@@ -12,8 +12,9 @@ face it completes, ``gl_sign_normal_form_reference`` runs a fresh Hermite
 reduction for every pivot-column flip, ``deduplicate_reference`` computes
 the weak key on every member of every strong orbit,
 ``canonical_json_reference`` is the ``json.dumps`` call that
-``documents.canonical_json`` replaces, and ``hnf_rows_reference`` is the
-earlier Hermite reduction, kept as it was: a pivot search through ``min``
+``documents.canonical_json`` replaces, with a ``default`` that expands a
+``documents.Records`` to its rows cell by cell, and ``hnf_rows_reference``
+is the earlier Hermite reduction, kept as it was: a pivot search through ``min``
 with a key per Euclidean step.
 
 ``count_primitive_vectors_in_box_reference`` is the earlier label-box
@@ -43,6 +44,7 @@ from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from lstorus.census import CensusClass, primitive_vectors_in_box
+from lstorus.documents import Records
 from lstorus.lattice import (
     LatticeError,
     PrimitiveVector,
@@ -63,9 +65,26 @@ from lstorus.lattice import (
 from lstorus.localmodel import LocalModelError, ModelPoint, XScaleLayer, YShearLayer
 
 
+def _records_rows(obj) -> list:
+    """A ``Records`` as its list of dicts; any other type is refused."""
+    if type(obj) is not Records:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    rows = [{} for _ in range(obj.count)]
+    for key, cells in obj.columns.items():
+        if type(cells) is Records:
+            cells = _records_rows(cells)
+        for row, cell in zip(rows, cells):
+            row[key] = cell
+    return rows
+
+
 def canonical_json_reference(obj) -> str:
-    """The canonical report text as the standard library writes it."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical report text as the standard library writes it, a
+    ``Records`` expanded to its rows."""
+    return (
+        json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, default=_records_rows)
+        + "\n"
+    )
 
 
 def det_permutation(m: Sequence[Sequence[int]]) -> int:

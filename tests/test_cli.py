@@ -4,22 +4,27 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import lstorus.cli as cli
 from lstorus.charpair import CharacteristicPair
 from lstorus.cli import main
 from lstorus.documents import (
     DocumentError,
+    canonical_json,
     parse_document,
     parse_pair,
     poset_to_object,
     serialize_pair,
     serialize_poset,
 )
+from lstorus.faceposet import FacePoset
 from lstorus.fixtures import corner_poset, square_pair, square_poset
+from oracles import canonical_json_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -394,6 +399,35 @@ def test_census_dedup_on_a_wide_star_stops_at_one_automorphism(capsys, tmp_path,
     assert report["classes"][0]["size"] == 1
 
 
+@pytest.mark.parametrize(
+    "poset, k, bound, classes",
+    [(FacePoset([("P", 0)], [], 0), 1, 1, 1), (square_poset(), 1, 2, 0)],
+    ids=["facet-free", "empty"],
+)
+@pytest.mark.parametrize("dedup", ["none", "strong", "weak"])
+def test_census_edges_match_json_dumps(
+    capsys, monkeypatch, tmp_path, poset, k, bound, classes, dedup
+):
+    """A facet-free poset has one class with no labels; the square at k = 1
+    has no labeling at all."""
+    path = tmp_path / "poset.json"
+    path.write_text(serialize_poset(poset), encoding="utf-8")
+    reports = []
+
+    def spy(obj):
+        reports.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(cli, "canonical_json", spy)
+    argv = ["census", "--poset", str(path), "--k", str(k), "--bound", str(bound), "--dedup", dedup]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == canonical_json_reference(reports[0])
+    report = json.loads(out)
+    assert report["class_count"] == classes
+    assert report["classes"] == [{"labels": {}, "size": 1}] * classes
+
+
 @pytest.mark.parametrize("mode", ["strong", "weak"])
 def test_iso_more_faces_than_recursion_limit(capsys, tmp_path, mode):
     # The search keeps an explicit stack: one level per face.
@@ -747,6 +781,63 @@ _READERS = {
     "canon": lambda path: ["canon", path],
     "census": lambda path: ["census", "--poset", path, "--k", "2", "--bound", "1"],
 }
+
+
+@pytest.mark.parametrize("via", ["path", "symlink"])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_output_naming_an_input_is_refused(capsys, tmp_path, reader, via):
+    path = tmp_path / "input.json"
+    path.write_bytes((FIXTURES / "cp1.json").read_bytes())
+    output = path
+    if via == "symlink":
+        output = tmp_path / "link.json"
+        output.symlink_to(path)
+    code = main(_READERS[reader](str(path)) + ["--output", str(output)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["command"] == reader.partition("-")[0]
+    assert report["error"]["type"] == "usage"
+    assert path.read_bytes() == (FIXTURES / "cp1.json").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({path.name, output.name})
+
+
+def test_output_through_a_symlink_writes_its_target(capsys, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("old", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(target.name)
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to("new.json")
+    for output in (link, dangling):
+        assert main(_COMMANDS["validate"] + ["--output", str(output)]) == 0
+        stdout = capsys.readouterr().out
+        assert output.is_symlink()
+        assert output.read_text(encoding="utf-8") == stdout
+    assert (tmp_path / "new.json").read_text(encoding="utf-8") == stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dangling.json", "link.json", "new.json", "target.json"
+    ]
+
+
+def test_output_to_a_fifo_writes_it_in_place(capsys, tmp_path):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, encoding="utf-8") as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert main(_COMMANDS["validate"] + ["--output", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [capsys.readouterr().out]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
 
 
 @pytest.mark.parametrize("bad", ["missing", "directory", "not-utf8"])

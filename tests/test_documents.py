@@ -3,7 +3,9 @@ generators."""
 
 import enum
 import importlib.util
+import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import lstorus.cli as cli
 from lstorus import documents
 from lstorus.charpair import CharacteristicPair
-from lstorus.documents import canonical_json, pair_to_object
+from lstorus.documents import Records, canonical_json, pair_to_object
 from lstorus.fixtures import square_poset
 from oracles import canonical_json_reference
 
@@ -57,8 +59,9 @@ _cells = st.one_of(
 
 @st.composite
 def _record_arrays(draw, rows=None, depth=0):
-    """A list of 2-4 dicts with one list of keys; a column holds ints, strs,
-    short int lists or, one level down, the rows of a record array."""
+    """A list of 2-4 dicts with one list of keys, each written value by
+    value; a key holds ints, strs, short int lists or, one level down, the
+    rows of such a list."""
     keys = draw(st.lists(_text, min_size=1, max_size=3, unique=True))
     n = rows or draw(st.integers(2, 4))
     columns = [
@@ -84,6 +87,39 @@ def _alias(array, how):
 _aliased_records = st.builds(
     _alias, _record_arrays(), st.sampled_from(["none", "repeated row", "cell is another row"])
 )
+# A census label vector: one tuple shared by many rows of a column.
+_shared = (1, -2, 0)
+# The kinds of cells a Records column is drawn from: the three that are laid
+# out column by column, and mixed or unsupported ones.
+_column_cells = st.sampled_from([
+    st.integers(),
+    _text,
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    st.just(_shared),
+    st.one_of(st.just(_shared), st.tuples(st.integers(-3, 3))),
+    st.one_of(st.integers(), st.just(10**5000)),
+    _cells,
+    _scalars,
+    st.lists(_scalars, max_size=2),
+])
+
+
+@st.composite
+def _records(draw, count=None, depth=0):
+    """A ``Records`` of 0-3 or 11 rows and 0-3 keys; a column is a list or
+    tuple of cells of one kind from ``_column_cells`` or, two levels deep
+    at most, a nested ``Records``."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 11])) if count is None else count
+    columns = {}
+    for key in draw(st.lists(_text, max_size=3, unique=True)):
+        if depth < 2 and draw(st.booleans()):
+            columns[key] = draw(_records(n, depth + 1))
+        else:
+            cells = draw(st.lists(draw(_column_cells), min_size=n, max_size=n))
+            columns[key] = draw(st.sampled_from([list, tuple]))(cells)
+    return Records(n, columns)
+
+
 _values = st.recursive(
     _scalars,
     lambda children: st.one_of(
@@ -95,6 +131,8 @@ _values = st.recursive(
         children.map(_reuse),
         _aliased_records,
         _aliased_records.map(_reuse),
+        _records(),
+        _records().map(_reuse),
     ),
     max_leaves=30,
 )
@@ -104,6 +142,38 @@ _values = st.recursive(
 @given(_values)
 def test_canonical_json_matches_json_dumps(obj):
     assert outcome(canonical_json, obj) == outcome(canonical_json_reference, obj)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_records())
+def test_records_match_json_dumps_of_their_rows(obj):
+    assert outcome(canonical_json, obj) == outcome(canonical_json_reference, obj)
+
+
+def test_records_on_fixed_cases():
+    huge = 10 ** (sys.get_int_max_str_digits() + 1)
+    labels = Records(3, {"a": [_shared] * 3, "b": ((1,), (2,), (1,))})
+    cases = [
+        Records(0, {}), Records(0, {"a": []}), Records(1, {}), Records(3, {}),
+        Records(2, {"labels": Records(2, {}), "size": [1, 1]}),
+        Records(3, {"labels": labels, "size": (1, 2, 3), "name": ["x", "y", "\ud800"]}),
+        [labels, {"again": labels}],
+        # Mixed and unsupported columns, which are written row by row.
+        Records(2, {"a": [1, "1"]}), Records(2, {"a": [1.0, None]}), Records(2, {"a": [[], [1]]}),
+        Records(2, {"a": [{"x": 1}, {"x": 2}]}), Records(2, {"a": [Records(1, {}), 1]}),
+        Records(2, {"a": [(1, True), (2,)]}),
+        # An int too long to convert raises json's ValueError.
+        Records(2, {"a": [1, huge]}), Records(1, {"a": Records(1, {"b": [(huge,)]})}),
+        # The first error in document order wins.
+        Records(2, {"a": [1, huge], "b": [object(), 1]}),
+    ]
+    for obj in cases:
+        assert outcome(canonical_json, obj) == outcome(canonical_json_reference, obj), obj
+    assert outcome(canonical_json, cases[-3])[0] is ValueError
+    assert outcome(canonical_json, cases[-1])[0] is TypeError
+    # A Records is no list: json.dumps without the oracle's default refuses it.
+    with pytest.raises(TypeError, match="^Object of type Records is not JSON serializable$"):
+        json.dumps(Records(1, {}))
 
 
 class _Colour(enum.IntEnum):
@@ -152,14 +222,15 @@ def test_canonical_json_matches_json_dumps_on_fixed_cases():
 
 def test_unsupported_values_raise_type_error_and_cycles_recursion_error():
     # The first error in document order wins, even where a later row of a
-    # record array has an int too long to convert.
+    # list of dicts has an int too long to convert.
     unsupported_first = [{"a": 1, "b": object()}, {"a": 10**5000, "b": 1}]
     for obj in (object(), {"a": {2, 3}}, [1, [2, b"x"]], unsupported_first):
         assert outcome(canonical_json, obj) == outcome(canonical_json_reference, obj), obj
         assert outcome(canonical_json, obj)[0] is TypeError, obj
     # Subclasses, which json.dumps writes as their base type, are refused.
     for obj in (_Name("v"), _Count(2), _Real(0.5), _Box([1]), _Table(a=1), _Colour.RED):
-        for value in (obj, [obj], {"a": obj}, [{"a": 1}, {"a": obj}]):
+        in_records = Records(2, {"a": [1, obj]})
+        for value in (obj, [obj], {"a": obj}, [{"a": 1}, {"a": obj}], in_records):
             with pytest.raises(TypeError, match=f"^Object of type {type(obj).__name__} is not"):
                 canonical_json(value)
     # So are keys that are not strs, which json.dumps converts.
@@ -179,32 +250,17 @@ def test_unsupported_values_raise_type_error_and_cycles_recursion_error():
     holder = {"a": 1, "b": [1]}
     table = [holder, {"a": 2, "b": [2]}]
     holder["b"] = table
-    for obj in (loop, knot, head, [selfish, {"a": 2, "b": {"a": 3, "b": 4}}], table):
+    # A Records holding itself in a cell.
+    ouroboros = Records(1, {"a": [None]})
+    ouroboros.columns["a"][0] = ouroboros
+    for obj in (loop, knot, head, [selfish, {"a": 2, "b": {"a": 3, "b": 4}}], table, ouroboros):
         with pytest.raises(RecursionError):
             canonical_json(obj)
 
 
-def test_shared_rows_take_the_record_path(monkeypatch):
-    """A record array may repeat a row, and its rows may share a cell,
-    which makes that cell a repeated row of the nested record array."""
-    calls = []
-    per_value = documents._Writer.object
-
-    def counted(self, dct, depth):
-        calls.append(depth)
-        return per_value(self, dct, depth)
-
-    monkeypatch.setattr(documents._Writer, "object", counted)
-    row = {"a": 1, "b": [1, 2], "c": "x"}
-    cell = {"v": 3, "w": (4,)}
-    for obj in ([row, row], [{"k": cell, "n": 1}, {"k": cell, "n": 2}]):
-        assert canonical_json(obj) == canonical_json_reference(obj)
-    assert calls == []
-
-
 def test_census_report_is_written_as_record_arrays(monkeypatch, capsys):
-    """The 10,164 classes and their labels take the record path: the
-    per-value object writer runs only for the few dicts around them."""
+    """The 10,164 classes and their labels are written column by column:
+    the per-value object writer runs only for the few dicts around them."""
     calls = []
     per_value = documents._Writer.object
 
@@ -237,9 +293,8 @@ def test_census_report_is_written_as_record_arrays(monkeypatch, capsys):
          "error"],
 )
 def test_reports_match_json_dumps(argv, capsys, monkeypatch, tmp_path):
-    # Two vertices whose facet labels coincide: the violations form a
-    # record array with a column of string lists, which the writer lays
-    # out value by value.
+    # Two vertices whose facet labels coincide: the violations form a list
+    # of dicts, which the writer lays out value by value.
     bad = CharacteristicPair(
         square_poset(), 2, {"E0": (1, 0), "E1": (1, 0), "E2": (1, 0), "E3": (0, 1)}
     )
@@ -265,13 +320,15 @@ def test_reports_match_json_dumps(argv, capsys, monkeypatch, tmp_path):
     assert same, f"texts differ at {at}: {out[at:at + 80]!r} != {expected[at:at + 80]!r}"
     report = reports[0]
     if argv[0] == "census":
+        classes = report["classes"]
+        assert type(classes) is Records and classes.count == report["class_count"]
         # The labels are the census's own tuples, which the memo keys on.
-        labels = report["classes"][0]["labels"]
-        assert all(type(v) is tuple for v in labels.values())
+        labels = classes.columns["labels"]
+        assert all(type(v) is tuple for column in labels.columns.values() for v in column)
         if argv[-1] == "none":
             assert len(out.encode("utf-8")) == 3_985_680
         else:
-            assert max(c["size"] for c in report["classes"]) > 1
+            assert max(classes.columns["size"]) > 1
     if argv[0] == "iso":
         assert report["verdict"]["witness"]["auto"] is not None
     if argv[1] == "two-violations.json":
