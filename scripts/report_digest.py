@@ -13,6 +13,9 @@ The dump holds, for the tree the script sits in:
   * `iso` reports (strong and weak) for every labelled document in
     fixtures/ against a copy with renamed faces and labels moved by a
     random automorphism, seeded by the file name;
+  * for every document in LABELLED below, a strong `iso` report against a
+    copy with renamed faces and a weak one against the moved copy, and
+    strong and weak `iso` reports for the pairs in LABELLED_NEGATIVE;
   * `validate` reports for the invalid documents in INVALID below;
   * an error report of every kind that each subcommand can give, except
     "io" and "internal", for the command lines in ERRORS below;
@@ -132,7 +135,68 @@ INVALID = {
     "interval-order-corner4": lambda: _corner(
         4, ["ABC", "AB"], ["A", "T"], ["B", "T"], ["C", "T"]),
     "interval-order-cube4": lambda: _without_covers(_cube4(), sorted(_cube4()["covers"])[-1]),
+    "two-tops": lambda: _poset_doc(1, {"T1": 0, "T2": 0}, []),
+    "grading": lambda: _poset_doc(
+        3, {"T": 0, "A": 1, "V": 2, "W": 3}, [["A", "T"], ["W", "A"], ["V", "T"]]),
+    "codim-bound": lambda: _poset_doc(
+        1, {"T": 0, "A": 1, "V": 2, "W": 2}, [["A", "T"], ["V", "A"], ["W", "A"]]),
+    "niceness": lambda: _poset_doc(
+        2, {"T": 0, "A": 1, "B": 1, "C": 1, "V": 2},
+        [["A", "T"], ["B", "T"], ["C", "T"], ["V", "A"], ["V", "B"], ["V", "C"]]),
+    # Two edges above V lie below the same pair of facets.
+    "interval-subsets": lambda: _poset_doc(
+        3, {"T": 0, "A": 1, "B": 1, "C": 1, "E1": 2, "E2": 2, "E3": 2, "V": 3},
+        [["A", "T"], ["B", "T"], ["C", "T"], ["E1", "A"], ["E1", "B"], ["E2", "A"],
+         ["E2", "B"], ["E3", "C"], ["E3", "A"], ["V", "E1"], ["V", "E2"], ["V", "E3"]]),
+    # Six summand violations, on edges and vertices alike, in face id order.
+    "summand-order": lambda: pair_to_object(CharacteristicPair(
+        fixtures.cube_poset(3), 3, dict(zip(fixtures.cube_poset(3).facets(), [
+            (0, 1, 1), (2, 1, 0), (0, 1, 0), (1, 1, 1), (1, 1, 0), (1, 2, 0)])))),
 }
+
+
+def _poset_doc(dim_orbit: int, codims: dict[str, int], covers: list[list[str]]) -> dict:
+    faces = [{"id": f, "codim": c} for f, c in codims.items()]
+    return {"dim_orbit": dim_orbit, "faces": faces, "covers": covers}
+
+
+def _product_pair(a: CharacteristicPair, b: CharacteristicPair) -> CharacteristicPair:
+    """The product of two pairs, with block-diagonal labels."""
+    top_a, top_b = a.poset.top(), b.poset.top()
+    labels = {f"{f}|{top_b}": v.coords + (0,) * b.k for f, v in a.labels().items()}
+    labels.update({f"{top_a}|{f}": (0,) * a.k + v.coords for f, v in b.labels().items()})
+    return CharacteristicPair(fixtures.product_poset(a.poset, b.poset), a.k + b.k, labels)
+
+
+def _bott(n: int, c: int) -> CharacteristicPair:
+    """The Bott tower of height n on the n-cube: e_i on the facet F_i^0
+    and e_i + sum_{j>i} c_ij e_j on F_i^1, with c_i,i+1 = c and every other
+    c_ij = 1."""
+    poset = fixtures.cube_poset(n)
+    labels = {}
+    for f in poset.facets():
+        parts = f.split("|")
+        i = next(j for j, part in enumerate(parts) if part != "T")
+        vec = [int(j == i) for j in range(n)]
+        if parts[i] == "F1":
+            for j in range(i + 1, n):
+                vec[j] = c if j == i + 1 else 1
+        labels[f] = PrimitiveVector(vec)
+    return CharacteristicPair(poset, n, labels)
+
+
+# Labelled documents beyond fixtures/, by name: products, and Bott towers
+# with every c_ij = 1 (A) or with c_i,i+1 = 2 (B).
+LABELLED = {
+    "cp2xcp1": lambda: _product_pair(fixtures.cp_pair(2), fixtures.cp_pair(1)),
+    "cp2xcp2": lambda: _product_pair(fixtures.cp_pair(2), fixtures.cp_pair(2)),
+    "pentagonxcp1": lambda: _product_pair(fixtures.polygon_pair(5), fixtures.cp_pair(1)),
+    "bott-a-cube3": lambda: _bott(3, 1),
+    "bott-b-cube3": lambda: _bott(3, 2),
+    "bott-a-cube4": lambda: _bott(4, 1),
+    "bott-b-cube4": lambda: _bott(4, 2),
+}
+LABELLED_NEGATIVE = [("bott-a-cube3", "bott-b-cube3"), ("bott-a-cube4", "bott-b-cube4")]
 
 
 def _cube4_pair() -> dict:
@@ -206,14 +270,24 @@ def run_in(directory: pathlib.Path, argv: list[str]) -> dict:
         os.chdir(cwd)
 
 
+def _renamed(pair: CharacteristicPair, rng: random.Random) -> CharacteristicPair:
+    """The pair with its faces renamed in a shuffled order."""
+    ids = pair.poset.ids()
+    names = [f"r{i}" for i in range(len(ids))]
+    rng.shuffle(names)
+    return rename_faces(pair, dict(zip(ids, names)))
+
+
+def renamed_copy(path: pathlib.Path, pair: CharacteristicPair) -> CharacteristicPair:
+    """The pair with its faces renamed as in ``moved_copy``, labels kept."""
+    return _renamed(pair, random.Random(path.name))
+
+
 def moved_copy(path: pathlib.Path, pair: CharacteristicPair) -> CharacteristicPair:
     """The pair with its faces renamed in a shuffled order and its labels
     moved by a random automorphism, both seeded by the file name."""
     rng = random.Random(path.name)
-    ids = pair.poset.ids()
-    names = [f"r{i}" for i in range(len(ids))]
-    rng.shuffle(names)
-    return relabel(rename_faces(pair, dict(zip(ids, names))), random_unimodular(pair.k, rng))
+    return relabel(_renamed(pair, rng), random_unimodular(pair.k, rng))
 
 
 def digest(workdir: pathlib.Path) -> dict[str, dict]:
@@ -247,6 +321,19 @@ def digest(workdir: pathlib.Path) -> dict[str, dict]:
         for mode in ("strong", "weak"):
             argv = ["iso", path.name, moved, "--mode", mode]
             entries[" ".join(argv)] = run_in(workdir, argv)
+    # A strong positive needs the labels kept, so it gets the renamed copy.
+    labelled_isos = []
+    for name, make in LABELLED.items():
+        path = pathlib.Path(f"{name}.json")
+        pair = make()
+        for suffix, copy in (("", pair), ("-renamed", renamed_copy(path, pair)),
+                             ("-moved", moved_copy(path, pair))):
+            (workdir / f"{name}{suffix}.json").write_text(serialize_pair(copy), encoding="utf-8")
+        labelled_isos += [(name, f"{name}-renamed", "strong"), (name, f"{name}-moved", "weak")]
+    labelled_isos += [(a, b, mode) for a, b in LABELLED_NEGATIVE for mode in ("strong", "weak")]
+    for a, b, mode in labelled_isos:
+        argv = ["iso", f"{a}.json", f"{b}.json", "--mode", mode]
+        entries[" ".join(argv)] = run_in(workdir, argv)
     for name, make in INVALID.items():
         doc = workdir / f"{name}.json"
         doc.write_text(json.dumps(make()), encoding="utf-8")

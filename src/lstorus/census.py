@@ -51,7 +51,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from .charpair import CharacteristicPair
 from .classify import poset_automorphisms
-from .faceposet import FacePoset
+from .faceposet import FacePoset, bits
 from .lattice import (
     Matrix,
     PrimitiveVector,
@@ -232,18 +232,17 @@ def enumerate_labelings(spec: CensusSpec) -> list[Labeling]:
     if not facets:
         return [()]
     vocab = primitive_vectors_in_box(spec.k, spec.entry_bound)
-    pos = {f: i for i, f in enumerate(facets)}
     # Per position, a getter of the other facets' indices for each face
     # checked there; None when one of those faces has more facets than the
     # torus rank.
     check_at: list[Optional[list[itemgetter]]] = [[] for _ in facets]
-    for f in poset.ids():
-        star = poset.facets_containing(f)
+    for star in poset.star_masks:
         if not star:
             continue
-        positions = [pos[x] for x in star]  # stars are in facet order
+        # A facet's position is the number of facets numbered below it.
+        positions = [(poset.facet_mask & ((1 << i) - 1)).bit_count() for i in bits(star)]
         last = positions.pop()
-        if len(star) > spec.k:
+        if star.bit_count() > spec.k:
             check_at[last] = None
         elif positions and check_at[last] is not None:
             check_at[last].append(itemgetter(*positions))
@@ -286,17 +285,17 @@ def enumerate_labelings(spec: CensusSpec) -> list[Labeling]:
     untried[0] = candidates(0)
     i = 0
     while i >= 0:
-        bits = untried[i]
+        todo = untried[i]
         if i == last:
             head = prefix[i]
-            while bits:
-                low = bits & -bits
-                bits ^= low
+            while todo:
+                low = todo & -todo
+                todo ^= low
                 out.append(head + single[low.bit_length() - 1])
             i -= 1
-        elif bits:
-            low = bits & -bits
-            untried[i] = bits ^ low
+        elif todo:
+            low = todo & -todo
+            untried[i] = todo ^ low
             j = chosen[i] = low.bit_length() - 1
             prefix[i + 1] = prefix[i] + single[j]
             i += 1

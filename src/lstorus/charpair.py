@@ -15,9 +15,9 @@ every verdict so reports state exactly what has been assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .faceposet import FacePoset, ValidityReport, Violation
+from .faceposet import FacePoset, ValidityReport, Violation, bits
 from .lattice import Matrix, PrimitiveVector, apply_auto, is_direct_summand
 
 
@@ -54,7 +54,11 @@ class Attestations:
 
 
 class CharacteristicPair:
-    """A face poset with torus rank k and a primitive label on every facet."""
+    """A face poset with torus rank k and a primitive label on every facet.
+
+    ``coords[i]`` is the label of face number i (see ``FacePoset``) as an
+    int tuple, and None when the face is no facet.
+    """
 
     def __init__(
         self,
@@ -65,11 +69,11 @@ class CharacteristicPair:
     ):
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise CharPairError(f"torus rank must be a positive integer, got {k!r}")
-        facets = poset.facets()
-        facet_set = set(facets)
         labels: dict[str, PrimitiveVector] = {}
+        coords: list[Optional[tuple[int, ...]]] = [None] * len(poset)
         for fid, value in facet_lambda.items():
-            if fid not in facet_set:
+            i = poset.index.get(fid)
+            if i is None or poset.codims[i] != 1:
                 raise CharPairError(f"label on {fid!r}, which is not a facet")
             vec = value if isinstance(value, PrimitiveVector) else PrimitiveVector(value)
             if vec.k != k:
@@ -77,13 +81,15 @@ class CharacteristicPair:
                     f"label on {fid!r} has length {vec.k}, expected {k}"
                 )
             labels[fid] = vec
-        missing = [f for f in facets if f not in labels]
-        if missing:
+            coords[i] = vec.coords
+        if len(labels) != poset.codims.count(1):
+            missing = [f for f in poset.facets() if f not in labels]
             raise CharPairError(f"missing facet label for {missing}")
         self.poset = poset
         self.k = k
         self.attestations = attestations
         self._labels = labels
+        self.coords = coords
 
     @property
     def dim_orbit(self) -> int:
@@ -116,43 +122,46 @@ def validate_characteristic(cp: CharacteristicPair) -> ValidityReport:
         raise CharPairError(
             "poset is invalid; validate the poset before the labeling"
         )
-    found: dict[str, Violation] = {}
-    passed: set[str] = set()
+    ids, codims, down = poset.ids(), poset.codims, poset.down
+    stars, coords = poset.star_masks, cp.coords
+    found: dict[int, Violation] = {}
+    passed = [False] * len(ids)
     # The summand test does not depend on row order, so it is memoised on
     # each face's sorted star labels; details keep the star order.
     summand: dict[Matrix, bool] = {}
     # Deeper faces first.  The star of a face is part of the star of each
     # face below it, and part of a basis of a direct summand spans one, so a
     # face with a lower cover that passed passes without a test.
-    for fid in reversed(poset.linear_extension()):
-        n = poset.codim(fid)
+    for f in sorted(range(len(ids)), key=codims.__getitem__, reverse=True):
+        n = codims[f]
         if n == 0:
-            continue
+            break
         if n > cp.k:
-            found[fid] = Violation(
+            found[f] = Violation(
                 "codim-rank",
-                (fid,),
+                (ids[f],),
                 f"codimension {n} exceeds torus rank {cp.k}",
             )
             continue
-        if not passed.isdisjoint(poset.covered_by(fid)):
-            passed.add(fid)
+        if any(map(passed.__getitem__, down[f])):
+            passed[f] = True
             continue
-        rows = cp.star_matrix(fid)
+        rows = tuple(map(coords.__getitem__, bits(stars[f])))
         key = tuple(sorted(rows))
         ok = summand.get(key)
         if ok is None:
             ok = summand[key] = is_direct_summand(key)
         if ok:
-            passed.add(fid)
+            passed[f] = True
         else:
-            found[fid] = Violation(
+            found[f] = Violation(
                 "summand",
-                (fid,),
+                (ids[f],),
                 f"facet labels {list(rows)} do not span a rank-{n} "
                 f"direct summand",
             )
-    violations = tuple(v for _, v in sorted(found.items()))
+    # Face numbers sort as ids do.
+    violations = tuple(found[f] for f in sorted(found))
     return ValidityReport(not violations, violations)
 
 

@@ -31,13 +31,12 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .charpair import CharacteristicPair
 from .faceposet import FacePoset
 from .lattice import (
     Matrix,
-    PrimitiveVector,
     apply_auto,
     det_int,
     gl_sign_normal_form,
@@ -77,45 +76,45 @@ class Verdict:
 class _SearchPoset:
     """The search graph of a poset and its facet labels: the Hasse diagram
     plus one label node per distinct label, covering the facets that carry
-    it.  An empty label map gives the bare Hasse diagram.
+    it.  No labels give the bare Hasse diagram.
 
-    Nodes are integers, never face ids: the faces in id order, then the
-    label nodes in label order.  ``up[u]`` and ``down[u]`` are the nodes
-    covering u and covered by u.  A label node's initial key marks it as
-    one and, in strong mode, holds the label's coordinates; the number of
-    facets sharing the label is its down-degree.
+    Nodes are the poset's face numbers, which follow id order, then the
+    label nodes in label order.  ``up[u]`` and ``down[u]`` are the sorted
+    tuples of the nodes covering u and covered by u: the poset's own for
+    the faces, with each facet's label node appended.  A label node's
+    initial key marks it as one and, in strong mode, holds the label's
+    coordinates; the number of facets sharing the label is its down-degree.
     """
 
     def __init__(
-        self, poset: FacePoset, labels: Mapping[str, PrimitiveVector], mode: str
+        self,
+        poset: FacePoset,
+        coords: Sequence[Optional[tuple[int, ...]]],
+        mode: str,
     ):
+        """``coords`` holds the label of each face by number, None off the
+        facets, as ``CharacteristicPair.coords`` does; it may be empty."""
         self.ids = poset.ids()
-        index = {f: i for i, f in enumerate(self.ids)}
-        self.codim = [poset.codim(f) for f in self.ids]
-        up = [[index[g] for g in poset.covering(f)] for f in self.ids]
-        down = [[index[g] for g in poset.covered_by(f)] for f in self.ids]
+        self.codim = poset.codims
         members: dict[tuple[int, ...], list[int]] = {}
-        for u, f in enumerate(self.ids):
-            if f in labels:
-                members.setdefault(labels[f].coords, []).append(u)
+        for u, label in enumerate(coords):
+            if label is not None:
+                members.setdefault(label, []).append(u)
         self.label_coords = sorted(members)
-        for coords in self.label_coords:
+        self.up = up = poset.up[:]
+        self.down = down = poset.down[:]
+        for label in self.label_coords:
             node = len(up)
-            for u in members[coords]:
-                up[u].append(node)
-            up.append([])
-            down.append(members[coords])
-        self.up = [frozenset(ns) for ns in up]
-        self.down = [frozenset(ns) for ns in down]
+            for u in members[label]:
+                up[u] += (node,)
+            up.append(())
+            down.append(tuple(members[label]))
         # Color keys are integer tuples so rounds sort structurally.
         self.init_key = [
-            (0, c, len(self.up[u]), len(self.down[u]))
-            for u, c in enumerate(self.codim)
+            (0, c, len(up[u]), len(down[u])) for u, c in enumerate(self.codim)
         ]
-        for node, coords in enumerate(self.label_coords, len(self.ids)):
-            self.init_key.append(
-                (1, len(self.down[node])) + (coords if mode == "strong" else ())
-            )
+        for node, label in enumerate(self.label_coords, len(self.ids)):
+            self.init_key.append((1, len(down[node])) + (label if mode == "strong" else ()))
 
 
 def _joint_refine(
@@ -126,27 +125,24 @@ def _joint_refine(
 
     Keys are comparable tuples and each round keeps the previous color as
     the leading component, so dense re-indexing preserves the color order
-    and the iteration reaches a genuine fixed point.
+    and the iteration reaches a genuine fixed point.  A round reads the
+    neighbour colours of each node off the integer adjacency tuples.
     """
 
     def intern_round(keys: Sequence[list[tuple]]) -> list[list[int]]:
         flat = sorted({k for ks in keys for k in ks})
         table = {k: i for i, k in enumerate(flat)}
-        return [[table[k] for k in ks] for ks in keys]
+        return [list(map(table.__getitem__, ks)) for ks in keys]
 
     colors = intern_round(init_keys)
     while True:
         keys = []
         for s, col in zip(structs, colors):
-            ks = []
-            for u, c in enumerate(col):
-                sig = (
-                    c,
-                    tuple(sorted(col[w] for w in s.up[u])),
-                    tuple(sorted(col[w] for w in s.down[u])),
-                )
-                ks.append(sig)
-            keys.append(ks)
+            get = col.__getitem__
+            keys.append([
+                (c, tuple(sorted(map(get, ups))), tuple(sorted(map(get, downs))))
+                for c, ups, downs in zip(col, s.up, s.down)
+            ])
         new = intern_round(keys)
         if new == colors:
             return colors
@@ -183,7 +179,7 @@ def _search_order(
             continue
         order.append(u)
         placed[u] = True
-        for w in sa.up[u] | sa.down[u]:
+        for w in sa.up[u] + sa.down[u]:
             if not placed[w]:
                 nbrs[w] += 1
                 heapq.heappush(heap, (-nbrs[w], hist_a[col_a[w]], col_a[w], w))
@@ -224,13 +220,15 @@ def _iso_candidates(
 
     def consistent(u: int, v: int) -> bool:
         for rel_a, rel_b in ((sa.up, sb.up), (sa.down, sb.down)):
-            count = 0
+            near = rel_b[v]
+            placed = 0
             for w in rel_a[u]:
-                if phi[w] >= 0:
-                    count += 1
-                    if phi[w] not in rel_b[v]:
+                image = phi[w]
+                if image >= 0:
+                    if image not in near:
                         return False
-            if sum(1 for w in rel_b[v] if used[w]) != count:
+                    placed += 1
+            if sum(map(used.__getitem__, near)) != placed:
                 return False
         return True
 
@@ -238,13 +236,13 @@ def _iso_candidates(
         used[phi[u]] = False
         phi[u] = -1
 
-    faces = range(len(sa.ids))
     # next_index[i]: where the scan of order[i]'s candidates resumes.
     next_index = [0] * len(order)
     depth = 0
     while depth >= 0:
         if depth == len(order):
-            yield {sa.ids[u]: sb.ids[phi[u]] for u in faces}
+            # phi lists the faces first; zip stops before the label nodes.
+            yield dict(zip(sa.ids, map(sb.ids.__getitem__, phi)))
             depth -= 1
             unplace(order[depth])
             continue
@@ -271,7 +269,7 @@ def poset_automorphisms(poset: FacePoset) -> Iterator[dict[str, str]]:
     Nothing is computed until the first automorphism is asked for, and a
     caller that stops early never pays for the rest of the group.
     """
-    sp = _SearchPoset(poset, {}, "strong")
+    sp = _SearchPoset(poset, (), "strong")
     yield from _iso_candidates(sp, sp)
 
 
@@ -360,8 +358,8 @@ def _decide(a: CharacteristicPair, b: CharacteristicPair, mode: str) -> Verdict:
         return Verdict(False, mode, reason=reason, hypotheses=hyp,
                        conclusion="not equivalent")
     facets = a.poset.facets()
-    sa = _SearchPoset(a.poset, labels_a, mode)
-    sb = _SearchPoset(b.poset, labels_b, mode)
+    sa = _SearchPoset(a.poset, a.coords, mode)
+    sb = _SearchPoset(b.poset, b.coords, mode)
     src = [labels_a[f] for f in facets]
     for phi in _iso_candidates(sa, sb):
         auto, unique = None, True
@@ -415,7 +413,7 @@ def verify_witness(
         if a.poset.codim(f) != b.poset.codim(phi[f]):
             return False
     mapped = {(phi[lo], phi[up]) for lo, up in a.poset.covers()}
-    if mapped != set(b.poset.covers()):
+    if mapped != b.poset.covers():
         return False
     labels_a, labels_b = a.labels(), b.labels()
     if mode == "strong":
@@ -460,8 +458,7 @@ def canonical_form(cp: CharacteristicPair, mode: str) -> str:
             f"no canonical form: poset has {len(cp.poset)} faces "
             f"(limit {CANONICAL_FORM_MAX_FACES})"
         )
-    labels = cp.labels()
-    struct = _SearchPoset(cp.poset, labels, mode)
+    struct = _SearchPoset(cp.poset, cp.coords, mode)
     n_faces = len(struct.ids)
     tags = [str(c) for c in struct.codim] + ["L"] * len(struct.label_coords)
     edges = [(lo, up) for lo, ups in enumerate(struct.up) for up in ups]
@@ -488,12 +485,10 @@ def canonical_form(cp: CharacteristicPair, mode: str) -> str:
     if mode == "strong":
         return best
     lam = ""
-    if labels:
-        facet_labels = {
-            u: labels[f].coords for u, f in enumerate(struct.ids) if f in labels
-        }
+    if struct.label_coords:
+        coords = cp.coords
         matrices = {
-            tuple(zip(*(facet_labels[u] for u in order if u in facet_labels)))
+            tuple(zip(*(coords[u] for u in order if u < n_faces and coords[u] is not None)))
             for order in leaves
         }
         form = min(gl_sign_normal_form(m) for m in matrices)

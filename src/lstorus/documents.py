@@ -272,7 +272,7 @@ def parse_document(text: str) -> ParsedDocument:
         fid, codim = entry["id"], entry["codim"]
         if type(fid) is not str:
             raise DocumentError(f"faces[{i}].id must be a string")
-        if _SURROGATE.search(fid):
+        if not fid.isascii() and _SURROGATE.search(fid):
             raise DocumentError(
                 f"faces[{i}].id has a lone surrogate, which no UTF-8 report can carry"
             )

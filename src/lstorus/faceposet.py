@@ -6,12 +6,20 @@ means the lower face is strictly contained in the upper with nothing in
 between, so the lower face has the larger codimension.
 
 Construction enforces only well-formedness (unique ids, known cover
-endpoints).  The semantic invariants of a nice corner structure -- a single
-top face, grading, and Boolean upper intervals -- are checked by
-``validate_poset`` and reported rather than raised, so broken inputs can be
-described to the user.  The order queries (``upper_set``, ``leq``,
-``facets_containing``) read tables derived in one pass by codimension, so
-they need a graded poset and raise ``PosetError`` on any other.
+endpoints) and numbers the faces once, 0 to n - 1 in sorted id order.  Every
+table is indexed by those numbers: ``codims``, the sorted cover tuples ``up``
+and ``down``, and, on first use, the upper set and the star (the facets
+containing a face) of each face as an ``int`` bitmask over face numbers.
+String ids appear only at construction, in the public accessors and in
+reports; the labeling check, the searches of ``classify`` and the census
+read the numbered tables, and sorting numbers sorts ids.
+
+The semantic invariants of a nice corner structure -- a single top face,
+grading, and Boolean upper intervals -- are checked by ``validate_poset``
+and reported rather than raised, so broken inputs can be described to the
+user.  The upper sets are derived in one pass by codimension, so the order
+queries (``upper_set``, ``leq``, ``facets_containing``) need a graded poset
+and raise ``PosetError`` on any other.
 """
 
 from __future__ import annotations
@@ -53,8 +61,23 @@ def _pair(entry: Any, what: str) -> tuple:
     raise PosetError(f"{what} {entry!r} is not a pair")
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first: the face numbers in a face set."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class FacePoset:
-    """Graded face poset of an orbit space, immutable after construction."""
+    """Graded face poset of an orbit space, immutable after construction.
+
+    Face i is the i-th id in sorted order.  ``codims[i]`` is its
+    codimension; ``up[i]`` and ``down[i]`` are the sorted numbers of the
+    faces covering it and covered by it; ``index`` maps an id to its number.
+    """
 
     def __init__(
         self,
@@ -64,12 +87,13 @@ class FacePoset:
     ):
         codim: dict[str, int] = {}
         for entry in faces:
-            fid, c = _pair(entry, "face")
-            if not isinstance(fid, str) or not fid:
+            fid, c = entry if type(entry) is tuple and len(entry) == 2 else _pair(entry, "face")
+            # Exact strs and ints pass on the first test.
+            if type(fid) is not str and not isinstance(fid, str) or not fid:
                 raise PosetError(f"face id must be a nonempty string, got {fid!r}")
             if fid in codim:
                 raise PosetError(f"duplicate face id {fid!r}")
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)) or c < 0:
                 raise PosetError(f"face {fid!r} has bad codimension {c!r}")
             codim[fid] = c
         if not codim:
@@ -77,27 +101,29 @@ class FacePoset:
         if not isinstance(dim_orbit, int) or isinstance(dim_orbit, bool) or dim_orbit < 0:
             raise PosetError(f"bad orbit-space dimension {dim_orbit!r}")
 
-        cover_set: set[tuple[str, str]] = set()
-        for pair in covers:
-            lo, up = _pair(pair, "cover")
-            if lo not in codim or up not in codim:
-                raise PosetError(f"cover ({lo!r}, {up!r}) references unknown face")
-            if lo == up:
-                raise PosetError(f"cover ({lo!r}, {up!r}) is reflexive")
-            cover_set.add((lo, up))
-
         self.dim_orbit = dim_orbit
-        self._codim = codim
-        self._covers = frozenset(cover_set)
-        up_map: dict[str, list[str]] = {f: [] for f in codim}
-        lo_map: dict[str, list[str]] = {f: [] for f in codim}
-        for lo, up in cover_set:
-            up_map[lo].append(up)
-            lo_map[up].append(lo)
-        self._uppers = {f: tuple(sorted(ups)) for f, ups in up_map.items()}
-        self._lowers = {f: tuple(sorted(los)) for f, los in lo_map.items()}
-        self._ids = tuple(sorted(codim))
-        self._facets = tuple(f for f in self._ids if codim[f] == 1)
+        self._ids = ids = tuple(sorted(codim))
+        self.index = index = {f: i for i, f in enumerate(ids)}
+        self.codims = list(map(codim.__getitem__, ids))
+        n = len(ids)
+        edges = set()  # lower * n + upper, so that covers given twice count once
+        for pair in covers:
+            lo, hi = pair if type(pair) is tuple and len(pair) == 2 else _pair(pair, "cover")
+            i = index.get(lo)
+            j = index.get(hi)
+            if i is None or j is None:
+                raise PosetError(f"cover ({lo!r}, {hi!r}) references unknown face")
+            if i == j:
+                raise PosetError(f"cover ({lo!r}, {hi!r}) is reflexive")
+            edges.add(i * n + j)
+        up: list[list[int]] = [[] for _ in ids]
+        down: list[list[int]] = [[] for _ in ids]
+        for e in sorted(edges):
+            i, j = divmod(e, n)
+            up[i].append(j)
+            down[j].append(i)
+        self.up = list(map(tuple, up))
+        self.down = list(map(tuple, down))
 
     # -- basic accessors -------------------------------------------------
 
@@ -105,29 +131,31 @@ class FacePoset:
         return list(self._ids)
 
     def __len__(self) -> int:
-        return len(self._codim)
+        return len(self._ids)
 
     def codim(self, fid: str) -> int:
-        self._require(fid)
-        return self._codim[fid]
+        return self.codims[self._require(fid)]
+
+    @cached_property
+    def _covers(self) -> frozenset[tuple[str, str]]:
+        ids = self._ids
+        return frozenset((ids[i], ids[j]) for i, ups in enumerate(self.up) for j in ups)
 
     def covers(self) -> frozenset[tuple[str, str]]:
         return self._covers
 
     def covering(self, fid: str) -> tuple[str, ...]:
         """Faces covering fid: one codimension lower, containing it."""
-        self._require(fid)
-        return self._uppers[fid]
+        return tuple(map(self._ids.__getitem__, self.up[self._require(fid)]))
 
     def covered_by(self, fid: str) -> tuple[str, ...]:
-        self._require(fid)
-        return self._lowers[fid]
+        return tuple(map(self._ids.__getitem__, self.down[self._require(fid)]))
 
     def faces_of_codim(self, n: int) -> list[str]:
-        return [f for f in self._ids if self._codim[f] == n]
+        return [f for f, c in zip(self._ids, self.codims) if c == n]
 
     def facets(self) -> list[str]:
-        return list(self._facets)
+        return self.faces_of_codim(1)
 
     def top_faces(self) -> list[str]:
         return self.faces_of_codim(0)
@@ -138,53 +166,68 @@ class FacePoset:
             raise PosetError(f"expected a unique top face, found {tops}")
         return tops[0]
 
-    def _require(self, fid: str) -> None:
-        if fid not in self._codim:
+    def _require(self, fid: str) -> int:
+        i = self.index.get(fid)
+        if i is None:
             raise PosetError(f"unknown face id {fid!r}")
+        return i
 
     # -- order -----------------------------------------------------------
 
     def upper_set(self, fid: str) -> frozenset[str]:
         """All faces containing fid, including fid itself."""
-        self._require(fid)
-        return self._upper_sets[fid]
+        i = self._require(fid)
+        return frozenset(map(self._ids.__getitem__, bits(self.upper_masks[i])))
 
     def leq(self, f: str, g: str) -> bool:
         """Inclusion order: f is a (non-strict) subface of g."""
-        return g in self.upper_set(f)
+        i, j = self._require(f), self._require(g)
+        return bool(self.upper_masks[i] >> j & 1)
 
     def facets_containing(self, fid: str) -> list[str]:
         """The star of fid: the facets containing it, in id order."""
-        self._require(fid)
-        return list(self._stars[fid])
+        i = self._require(fid)
+        return list(map(self._ids.__getitem__, bits(self.star_masks[i])))
 
     def faces_per_codim(self) -> dict[int, int]:
         """The number of faces of each codimension, by increasing codimension."""
-        return dict(sorted(Counter(self._codim.values()).items()))
+        return dict(sorted(Counter(self.codims).items()))
 
     @cached_property
-    def _upper_sets(self) -> dict[str, frozenset[str]]:
-        """Upper sets by increasing codimension, so that in a graded poset
-        the covers of a face are done before it; a cover that does not drop
-        codimension by 1, as on any cycle, raises."""
-        codim = self._codim
-        out: dict[str, frozenset[str]] = {}
-        for f in sorted(self._ids, key=codim.__getitem__):
-            upper = {f}
-            for g in self._uppers[f]:
-                if codim[g] != codim[f] - 1:
+    def _by_codim(self) -> list[int]:
+        """Face numbers by increasing codimension, ties in number order."""
+        return sorted(range(len(self._ids)), key=self.codims.__getitem__)
+
+    @cached_property
+    def upper_masks(self) -> list[int]:
+        """The upper set of each face as a bitmask, built by increasing
+        codimension, so that in a graded poset the covers of a face are done
+        before it; a cover that does not drop codimension by 1, as on any
+        cycle, raises."""
+        codims, up = self.codims, self.up
+        out = [0] * len(codims)
+        for i in self._by_codim:
+            mask = 1 << i
+            for j in up[i]:
+                if codims[j] != codims[i] - 1:
                     raise PosetError(
-                        f"order queries need a graded poset; cover {f!r} over {g!r} "
-                        "does not drop codimension by 1"
+                        f"order queries need a graded poset; cover {self._ids[i]!r} over "
+                        f"{self._ids[j]!r} does not drop codimension by 1"
                     )
-                upper |= out[g]
-            out[f] = frozenset(upper)
+                mask |= out[j]
+            out[i] = mask
         return out
 
     @cached_property
-    def _stars(self) -> dict[str, tuple[str, ...]]:
-        facets = frozenset(self._facets)
-        return {f: tuple(sorted(facets & up)) for f, up in self._upper_sets.items()}
+    def facet_mask(self) -> int:
+        """The facets as a bitmask."""
+        return sum(1 << i for i, c in enumerate(self.codims) if c == 1)
+
+    @cached_property
+    def star_masks(self) -> list[int]:
+        """The star of each face as a bitmask: its upper set's facets."""
+        facets = self.facet_mask
+        return [facets & mask for mask in self.upper_masks]
 
     # -- validation --------------------------------------------------------
 
@@ -198,7 +241,8 @@ class FacePoset:
         return self._compute_validity()
 
     def _compute_validity(self) -> ValidityReport:
-        codim = self._codim
+        ids, codims = self._ids, self.codims
+        faces = range(len(ids))
         violations: list[Violation] = []
         tops = self.top_faces()
         if len(tops) != 1:
@@ -209,23 +253,25 @@ class FacePoset:
                     f"expected exactly one codimension-0 face, found {len(tops)}",
                 )
             )
-        ungraded = [(lo, up) for lo, up in self._covers if codim[lo] != codim[up] + 1]
-        for lo, up in sorted(ungraded):
-            violations.append(
-                Violation(
-                    "grading",
-                    (lo, up),
-                    f"cover {lo!r} (codim {codim[lo]}) over {up!r} "
-                    f"(codim {codim[up]}) must drop codimension by 1",
-                )
-            )
-        for f in self._ids:
-            if codim[f] > self.dim_orbit:
+        # Face numbers sort as ids do, so the covers come in sorted order.
+        for lo, c, ups in zip(faces, codims, self.up):
+            for up in ups:
+                if codims[up] != c - 1:
+                    violations.append(
+                        Violation(
+                            "grading",
+                            (ids[lo], ids[up]),
+                            f"cover {ids[lo]!r} (codim {c}) over {ids[up]!r} "
+                            f"(codim {codims[up]}) must drop codimension by 1",
+                        )
+                    )
+        for f in faces:
+            if codims[f] > self.dim_orbit:
                 violations.append(
                     Violation(
                         "codim-bound",
-                        (f,),
-                        f"codimension {codim[f]} exceeds orbit dimension "
+                        (ids[f],),
+                        f"codimension {codims[f]} exceeds orbit dimension "
                         f"{self.dim_orbit}",
                     )
                 )
@@ -233,59 +279,73 @@ class FacePoset:
             # Niceness is meaningless on an ungraded or multi-top structure.
             return ValidityReport(False, tuple(violations))
 
-        uppers = self._upper_sets
-        stars = self._stars
+        uppers = self.upper_masks
+        stars = self.star_masks
         # Stars shrink going up a graded poset.  So once the stars of f's
         # upper interval are the distinct subsets of star(f), a face g of the
         # interval lies below at most the 2^|star(g)| faces whose stars fit
         # in star(g).  The interval order disagrees with the subset order
         # exactly at the faces g that lie below fewer: the short ones.
-        short = {g for g in self._ids if len(uppers[g]) != 2 ** len(stars[g])}
-        for f in self._ids:
-            n = codim[f]
-            star = stars[f]
-            if len(star) != n:
+        short = 0
+        # The distinct stars over each upper interval, as a bitmask of the
+        # first face met with each star; an interval is the face and the
+        # intervals of its covers.
+        first: dict[int, int] = {}
+        interval_stars = [0] * len(ids)
+        for g in self._by_codim:
+            star = stars[g]
+            if uppers[g].bit_count() != 1 << star.bit_count():
+                short |= 1 << g
+            mask = 1 << first.setdefault(star, g)
+            for h in self.up[g]:
+                mask |= interval_stars[h]
+            interval_stars[g] = mask
+        for f, n, star, upper in zip(faces, codims, stars, uppers):
+            if star.bit_count() != n:
+                names = [ids[g] for g in bits(star)]
                 violations.append(
                     Violation(
                         "niceness",
-                        (f,),
-                        f"face of codimension {n} lies below {len(star)} facets "
-                        f"({list(star)}); niceness requires exactly {n}",
+                        (ids[f],),
+                        f"face of codimension {n} lies below {len(names)} facets "
+                        f"({names}); niceness requires exactly {n}",
                     )
                 )
                 continue
-            interval = uppers[f]
-            if len(interval) != 2 ** n:
+            size = upper.bit_count()
+            if size != 1 << n:
                 violations.append(
                     Violation(
                         "boolean-interval",
-                        (f,),
-                        f"upper interval has {len(interval)} faces, expected {2 ** n}",
+                        (ids[f],),
+                        f"upper interval has {size} faces, expected {2 ** n}",
                     )
                 )
                 continue
-            if len({stars[g] for g in interval}) != len(interval):
-                seen: set[tuple[str, ...]] = set()
-                for g in sorted(interval):
+            if interval_stars[f].bit_count() != size:
+                seen: set[int] = set()
+                for g in bits(upper):
                     if stars[g] in seen:
                         violations.append(
                             Violation(
                                 "boolean-interval",
-                                (f, g),
+                                (ids[f], ids[g]),
                                 "faces above do not match distinct facet subsets",
                             )
                         )
                         break
                     seen.add(stars[g])
                 continue
-            for g1 in sorted(short.intersection(interval)):
-                star1 = frozenset(stars[g1])
-                for g2 in sorted(interval):
-                    if g2 not in uppers[g1] and star1.issuperset(stars[g2]):
+            if not short & upper:
+                continue
+            for g1 in bits(short & upper):
+                star1 = stars[g1]
+                for g2 in bits(upper):
+                    if not uppers[g1] >> g2 & 1 and not stars[g2] & ~star1:
                         violations.append(
                             Violation(
                                 "boolean-interval",
-                                (f, g1, g2),
+                                (ids[f], ids[g1], ids[g2]),
                                 "interval order disagrees with facet-subset order",
                             )
                         )
@@ -299,12 +359,10 @@ class FacePoset:
         Sorting by (codim, id) always respects reverse inclusion: comparable
         distinct faces have distinct codimensions in a graded poset.
         """
-        return sorted(self._ids, key=self._codim.__getitem__)
+        return list(map(self._ids.__getitem__, self._by_codim))
 
     def __repr__(self) -> str:
-        return (
-            f"FacePoset({len(self._codim)} faces, dim_orbit={self.dim_orbit})"
-        )
+        return f"FacePoset({len(self._ids)} faces, dim_orbit={self.dim_orbit})"
 
 
 def validate_poset(p: FacePoset) -> ValidityReport:

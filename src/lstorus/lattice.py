@@ -372,7 +372,7 @@ def saturate(m: Matrix) -> Matrix:
 
 def canonical_sign(v: Sequence[int]) -> Row:
     """Flip the sign so the first nonzero entry is positive."""
-    t = tuple(int(x) for x in v)
+    t = tuple(map(int, v))
     for x in t:
         if x > 0:
             return t
@@ -390,14 +390,13 @@ class PrimitiveVector:
     def __init__(self, coords: Sequence[int]):
         t = tuple(coords)
         for x in t:
-            if not isinstance(x, int) or isinstance(x, bool):
+            # An exact int passes on the first test.
+            if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
                 raise LatticeError(f"non-integer entry {x!r}")
-        t = tuple(int(x) for x in t)
-        if not t or not any(t):
+        t = tuple(map(int, t))
+        if not any(t):
             raise LatticeError("primitive vector must be nonzero")
-        g = 0
-        for x in t:
-            g = gcd(g, x)
+        g = gcd(*t)
         if g != 1:
             raise LatticeError(f"vector {t} is not primitive (gcd {g})")
         object.__setattr__(self, "coords", canonical_sign(t))

@@ -21,6 +21,11 @@ with a key per Euclidean step.
 count, kept as it was: one sieve for mu over the whole range up to the
 bound.
 
+``poset_validity_reference`` is the earlier ``FacePoset.validate``, kept as
+it was: upper sets as frozensets of face ids and stars as id tuples, where
+the package now numbers the faces and holds both as bitmasks.  Its reports
+must equal the package's exactly, details and order included.
+
 ``solve_unimodular_reference`` is the earlier torus-automorphism solver,
 kept as it was: sign enumeration with back-substitution at full rank, and
 saturate, extend and recurse below it.  Where the sources have full rank
@@ -45,6 +50,7 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from lstorus.census import CensusClass, primitive_vectors_in_box
 from lstorus.documents import Records
+from lstorus.faceposet import ValidityReport, Violation
 from lstorus.lattice import (
     LatticeError,
     PrimitiveVector,
@@ -790,6 +796,81 @@ def poset_violations_reference(poset) -> list[tuple]:
                     out.append(("boolean-interval", (f, g1, g2),
                                 "interval order disagrees with facet-subset order"))
     return sorted(out)
+
+
+def poset_validity_reference(poset) -> ValidityReport:
+    """``FacePoset.validate`` as it was written on string ids, kept as it
+    was: upper sets as frozensets of ids built by increasing codimension,
+    stars as sorted id tuples, and the same checks in the same order.  It
+    reads only the public faces, codimensions and covers, so its whole
+    report, details and order included, must equal the library's."""
+    ids = poset.ids()
+    codim = {f: poset.codim(f) for f in ids}
+    covers = poset.covers()
+    up_map: dict[str, list[str]] = {f: [] for f in ids}
+    for lo, up in covers:
+        up_map[lo].append(up)
+    uppers_of = {f: tuple(sorted(ups)) for f, ups in up_map.items()}
+    violations = []
+    tops = [f for f in ids if codim[f] == 0]
+    if len(tops) != 1:
+        violations.append(Violation(
+            "top", tuple(tops), f"expected exactly one codimension-0 face, found {len(tops)}"))
+    for lo, up in sorted((lo, up) for lo, up in covers if codim[lo] != codim[up] + 1):
+        violations.append(Violation(
+            "grading", (lo, up),
+            f"cover {lo!r} (codim {codim[lo]}) over {up!r} "
+            f"(codim {codim[up]}) must drop codimension by 1"))
+    for f in ids:
+        if codim[f] > poset.dim_orbit:
+            violations.append(Violation(
+                "codim-bound", (f,),
+                f"codimension {codim[f]} exceeds orbit dimension {poset.dim_orbit}"))
+    if violations:
+        return ValidityReport(False, tuple(violations))
+
+    uppers: dict[str, frozenset[str]] = {}
+    for f in sorted(ids, key=codim.__getitem__):
+        upper = {f}
+        for g in uppers_of[f]:
+            upper |= uppers[g]
+        uppers[f] = frozenset(upper)
+    facets = frozenset(f for f in ids if codim[f] == 1)
+    stars = {f: tuple(sorted(facets & up)) for f, up in uppers.items()}
+    short = {g for g in ids if len(uppers[g]) != 2 ** len(stars[g])}
+    for f in ids:
+        n = codim[f]
+        star = stars[f]
+        if len(star) != n:
+            violations.append(Violation(
+                "niceness", (f,),
+                f"face of codimension {n} lies below {len(star)} facets "
+                f"({list(star)}); niceness requires exactly {n}"))
+            continue
+        interval = uppers[f]
+        if len(interval) != 2 ** n:
+            violations.append(Violation(
+                "boolean-interval", (f,),
+                f"upper interval has {len(interval)} faces, expected {2 ** n}"))
+            continue
+        if len({stars[g] for g in interval}) != len(interval):
+            seen: set[tuple[str, ...]] = set()
+            for g in sorted(interval):
+                if stars[g] in seen:
+                    violations.append(Violation(
+                        "boolean-interval", (f, g),
+                        "faces above do not match distinct facet subsets"))
+                    break
+                seen.add(stars[g])
+            continue
+        for g1 in sorted(short.intersection(interval)):
+            star1 = frozenset(stars[g1])
+            for g2 in sorted(interval):
+                if g2 not in uppers[g1] and star1.issuperset(stars[g2]):
+                    violations.append(Violation(
+                        "boolean-interval", (f, g1, g2),
+                        "interval order disagrees with facet-subset order"))
+    return ValidityReport(not violations, tuple(violations))
 
 
 def label_violations_reference(cp) -> list[tuple]:

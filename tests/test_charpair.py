@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,8 @@ from lstorus.charpair import (
     rename_faces,
     validate_characteristic,
 )
-from lstorus.faceposet import FacePoset
+from lstorus.documents import parse_document
+from lstorus.faceposet import FacePoset, ValidityReport, Violation
 from lstorus.fixtures import (
     cp_pair,
     cube_pair,
@@ -151,6 +153,36 @@ def test_violations_match_per_face_reference():
         kinds |= {v[0] for v in got}
     assert kinds == {"summand", "codim-rank"}
     assert 24 <= valid < len(cases)
+
+
+def test_reports_equal_the_label_by_label_reference_on_mutated_labels():
+    """Whole reports, details and order included, on the fixtures' labels
+    with one label replaced, two swapped, or one copied onto another."""
+    rng = random.Random(53)
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    pairs = [parse_document(p.read_text(encoding="utf-8")).pair
+             for p in sorted(fixtures.glob("*.json"))]
+    kinds, valid, count = set(), 0, 0
+    for cp in filter(None, pairs):
+        facets = cp.poset.facets()
+        vocab = primitive_box_vectors(cp.k, 2)
+        for _ in range(6):
+            labels = [cp.label(f) for f in facets]
+            i, j = rng.randrange(len(facets)), rng.randrange(len(facets))
+            change = rng.choice(("replace", "swap", "copy"))
+            if change == "replace":
+                labels[i] = rng.choice(vocab)
+            elif change == "swap":
+                labels[i], labels[j] = labels[j], labels[i]
+            else:
+                labels[i] = labels[j]
+            mutant = _relabeled(cp, labels)
+            want = tuple(Violation(*v) for v in label_violations_reference(mutant))
+            assert validate_characteristic(mutant) == ValidityReport(not want, want)
+            kinds |= {v.kind for v in want}
+            valid += not want
+            count += 1
+    assert kinds == {"summand"} and 0 < valid < count
 
 
 def test_codim_above_rank_reported():

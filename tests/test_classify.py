@@ -569,7 +569,7 @@ def _greedy_order_by_definition(sa, col, hist):
     order, placed = [], set()
     while len(order) < len(col):
         def key(u):
-            near = sa.up[u] | sa.down[u]
+            near = set(sa.up[u]) | set(sa.down[u])
             return (-sum(w in placed for w in near), hist[col[u]], col[u], u)
 
         u = min((u for u in range(len(col)) if u not in placed), key=key)
@@ -592,7 +592,7 @@ def test_search_order_matches_its_definition(mode):
     ]
     for cp in pairs:
         copy = shuffled_copy(cp, random.Random(7))
-        sa = _SearchPoset(copy.poset, copy.labels(), mode)
+        sa = _SearchPoset(copy.poset, copy.coords, mode)
         (col,) = _joint_refine([sa], [sa.init_key])
         hist = _histogram(col)
         assert _search_order(sa, col, hist) == _greedy_order_by_definition(sa, col, hist)
@@ -642,8 +642,8 @@ def test_iso_candidates_are_exactly_the_isomorphisms(mode):
         found = [
             frozenset(phi.items())
             for phi in _iso_candidates(
-                _SearchPoset(cp.poset, cp.labels(), mode),
-                _SearchPoset(other.poset, other.labels(), mode),
+                _SearchPoset(cp.poset, cp.coords, mode),
+                _SearchPoset(other.poset, other.coords, mode),
             )
         ]
         assert len(found) == len(set(found))
@@ -668,8 +668,8 @@ def test_poset_automorphisms_refine_once_and_match_a_two_copy_search(monkeypatch
         # Same colour ids as a joint refinement of two copies, so the same
         # automorphisms come out in the same order.
         two_copies = list(classify._iso_candidates(
-            classify._SearchPoset(poset, {}, "strong"),
-            classify._SearchPoset(poset, {}, "strong"),
+            classify._SearchPoset(poset, (), "strong"),
+            classify._SearchPoset(poset, (), "strong"),
         ))
         assert refined == [1, 2]
         assert autos == two_copies

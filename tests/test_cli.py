@@ -110,8 +110,8 @@ def test_no_label_node_leaks_into_a_face_map(capsys, tmp_path):
         other.write_text(serialize_pair(renamed), encoding="utf-8")
         for mode in ("strong", "weak"):
             maps = list(itertools.islice(_iso_candidates(
-                _SearchPoset(cp.poset, cp.labels(), mode),
-                _SearchPoset(renamed.poset, renamed.labels(), mode),
+                _SearchPoset(cp.poset, cp.coords, mode),
+                _SearchPoset(renamed.poset, renamed.coords, mode),
             ), 50))
             assert maps
             for phi in maps:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -21,7 +22,7 @@ from lstorus.fixtures import (
     triangle_poset,
 )
 
-from oracles import poset_violations_reference
+from oracles import poset_validity_reference, poset_violations_reference
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -182,6 +183,13 @@ def test_upper_sets_and_leq():
     assert p.upper_set("T") == frozenset({"T"})
 
 
+def test_leq_raises_on_an_unknown_face_on_either_side():
+    p = simplex_poset(2)
+    for f, g in (("F0", "nope"), ("nope", "F0"), ("nope", "nope")):
+        with pytest.raises(PosetError, match="^unknown face id 'nope'$"):
+            p.leq(f, g)
+
+
 def test_boolean_intervals_have_power_set_size():
     for poset in (simplex_poset(4), cube_poset(4)):
         assert validate_poset(poset).valid
@@ -334,3 +342,51 @@ def test_cached_report_equals_fresh_computation(source):
     if source == "invalid":
         assert kinds == {"top", "grading", "codim-bound", "niceness", "boolean-interval"}
         assert interval_checks == {1, 2, 3}
+
+
+def _mutants(poset, rng):
+    """One seeded mutant of the poset for each kind of change: a dropped,
+    an added and a reversed cover, a changed codimension, an extra face."""
+    codim = {f: poset.codim(f) for f in poset.ids()}
+    covers = sorted(poset.covers())
+    ids = sorted(codim)
+
+    def make(codims, cover_list):
+        return FacePoset(sorted(codims.items()), cover_list, poset.dim_orbit)
+
+    out = {}
+    if covers:
+        drop = rng.choice(covers)
+        out["drop"] = make(codim, [c for c in covers if c != drop])
+        lo, up = rng.choice(covers)
+        out["reverse"] = make(codim, [c for c in covers if c != (lo, up)] + [(up, lo)])
+    # An added cover that keeps the grading, when there is one to add.
+    graded = [(lo, up) for lo in ids for up in ids
+              if codim[lo] == codim[up] + 1 and (lo, up) not in poset.covers()]
+    if graded:
+        out["add"] = make(codim, covers + [rng.choice(graded)])
+    f = rng.choice(ids)
+    out["codim"] = make({**codim, f: max(0, codim[f] + rng.choice((-1, 1)))}, covers)
+    up = rng.choice(ids)
+    below = [("X", up)] + [(g, "X") for g in ids if codim[g] == codim[up] + 2 and rng.random() < 0.5]
+    out["extra-face"] = make({**codim, "X": codim[up] + 1}, covers + below)
+    return out
+
+
+def test_validate_equals_the_string_keyed_reference_on_fixtures_and_mutants():
+    """Whole reports, kinds, faces, details and order, against the
+    string-keyed computation the numbered tables replaced."""
+    posets = dict(_fixture_posets(), **_invalid_variants())
+    rng = random.Random(2024)
+    for name, poset in list(posets.items()):
+        for seed in range(3):
+            for kind, mutant in _mutants(poset, rng).items():
+                posets[f"{name}-{kind}-{seed}"] = mutant
+    kinds, interval_checks = set(), set()
+    for name, poset in posets.items():
+        report = poset.validate()
+        assert report == poset_validity_reference(poset), name
+        kinds |= {v.kind for v in report.violations}
+        interval_checks |= {len(v.faces) for v in report.by_kind("boolean-interval")}
+    assert kinds == {"top", "grading", "codim-bound", "niceness", "boolean-interval"}
+    assert interval_checks == {1, 2, 3}
