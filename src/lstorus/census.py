@@ -176,6 +176,10 @@ class CensusSpec:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
+        for name in ("k", "entry_bound", "budget"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool or a float is no count
+                raise CensusError(f"{name} must be an int, got {value!r}")
         if self.k < 1:
             raise CensusError("torus rank must be >= 1")
         if self.entry_bound < 1:

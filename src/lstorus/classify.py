@@ -282,13 +282,13 @@ def _shape_mismatch(a: CharacteristicPair, b: CharacteristicPair) -> Optional[st
         return f"k differs ({a.k} vs {b.k})"
     if a.dim_orbit != b.dim_orbit:
         return f"dim_orbit differs ({a.dim_orbit} vs {b.dim_orbit})"
-    if a.poset.faces_per_codim() != b.poset.faces_per_codim():
+    if a.poset.codim_counts != b.poset.codim_counts:
         return "face counts per codimension differ"
     return None
 
 
 def has_four_dim_faces(cp: CharacteristicPair) -> bool:
-    return cp.dim_orbit - 4 in cp.poset.faces_per_codim()
+    return cp.dim_orbit - 4 in cp.poset.codim_counts
 
 
 def _hypotheses(a: CharacteristicPair, b: CharacteristicPair) -> dict[str, bool]:

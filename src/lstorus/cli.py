@@ -133,7 +133,7 @@ def _verdict_object(verdict: Verdict) -> dict:
     witness = None
     if verdict.witness is not None:
         witness = {
-            "phi": dict(sorted(verdict.witness.phi.items())),
+            "phi": verdict.witness.phi,
             "auto": [list(row) for row in verdict.witness.auto]
             if verdict.witness.auto is not None
             else None,
@@ -220,7 +220,7 @@ def cmd_census(args: argparse.Namespace) -> tuple[dict, int]:
             "labels": Records(n, labels), "size": [size for _, size in result.classes]
         }),
         "stats": {
-            "faces_per_codim": {str(c): m for c, m in sorted(result.faces_per_codim.items())},
+            "faces_per_codim": {str(c): m for c, m in result.faces_per_codim.items()},
             "euler_count": result.euler_count,
         },
     }

@@ -4,9 +4,11 @@ Canonical serialization is sorted keys, two-space indent, LF newlines,
 UTF-8, and a single trailing newline; byte-identical output is part of the
 determinism contract, so nothing here may depend on dict iteration order.
 ``canonical_json`` writes that text with a writer of its own, equal to
-``json.dumps`` on report values.  A census report is mostly its classes,
-which ``cmd_census`` passes as ``Records``, an array of objects held as
-columns: the writer lays out each column once and makes no call per class.
+``json.dumps`` on report values: a few module functions, one layout per
+JSON kind, that keep no state between values.  A census report is mostly
+its classes, which ``cmd_census`` passes as ``Records``, an array of
+objects held as columns: the writer lays out each int column at once, and
+each distinct label vector of a column once, with no call per class.
 """
 
 from __future__ import annotations
@@ -81,13 +83,13 @@ def canonical_json(obj: Any) -> str:
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set,
     so this writer lays out the containers itself and leaves every string
-    to the C encoder.  A list of dicts is written value by value.  A
-    ``Records`` is laid out column by column when each column holds only
-    exact ints, only exact strs or only non-empty flat int lists, or is a
-    ``Records``; otherwise, or when an int is too long to convert, its rows
-    are, so the first error in document order is raised.
+    to the C encoder.  Every list, tuple and dict is written value by
+    value.  A ``Records`` is laid out column by column when each column
+    holds only exact ints, or only lists and tuples, each distinct one
+    written once, or is a ``Records``; otherwise, or when a cell cannot be
+    written, its rows are, so the first error in document order is raised.
     """
-    return _Writer().value(obj, 0) + "\n"
+    return _value(obj, 0) + "\n"
 
 
 _INF = float("inf")
@@ -103,124 +105,96 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-class _Writer:
-    """One ``canonical_json`` call and its memo of flat int lists.
+def _value(o: Any, depth: int) -> str:
+    t = type(o)
+    if t is str:
+        return _encode_str(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is dict:
+        return _object(o, depth)
+    if t is list or t is tuple:
+        return _array(o, depth)
+    if t is float:
+        return _float_text(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is Records:
+        return _table(o, depth)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
-    Census reports repeat a few label vectors thousands of times, so the
-    text of each flat list of ints is kept per indent depth.  A list's
-    identity is a safe memo key because every list met is reachable from
-    the value being written, so none is freed, and no id reused, before the
-    call returns.
+
+def _array(lst: Any, depth: int) -> str:
+    if not lst:
+        return "[]"
+    d = depth + 1
+    inner = "\n" + "  " * d
+    return "[" + inner + ("," + inner).join([_value(x, d) for x in lst]) + inner[:-2] + "]"
+
+
+def _object(dct: dict, depth: int) -> str:
+    if not dct:
+        return "{}"
+    d = depth + 1
+    inner = "\n" + "  " * d
+    entries = [_encode_str(key) + ": " + _value(v, d) for key, v in sorted(dct.items())]
+    return "{" + inner + ("," + inner).join(entries) + inner[:-2] + "}"
+
+
+def _table(rec: Records, depth: int) -> str:
+    slots = _slots(rec, depth + 1) if rec.count else None
+    if slots is None:  # no rows, or a column that cannot be laid out
+        return _array(rec.rows(), depth)
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(map("".join, zip(*slots))) + inner[:-2] + "]"
+
+
+def _slots(rec: Records, depth: int) -> Optional[list[Iterable[str]]]:
+    """One iterable per slot of a row's text at ``depth``, in order, or
+    None when a column cannot be laid out (see ``canonical_json``).
+
+    The slots are a ``repeat`` of the text before each column's cells,
+    then the cells, one per row (a nested ``Records`` gives its own
+    slots); ``"".join`` over the slots gives each row.
     """
-
-    __slots__ = ("flat",)
-
-    def __init__(self) -> None:
-        self.flat: dict[tuple[int, int], str] = {}  # (id, depth) -> text
-
-    def value(self, o: Any, depth: int) -> str:
-        t = type(o)
-        if t is str:
-            return _encode_str(o)
-        if t is int:
-            return int.__repr__(o)
-        if t is dict:
-            return self.object(o, depth)
-        if t is list or t is tuple:
-            return self.array(o, depth)
-        if t is float:
-            return _float_text(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if t is Records:
-            return self.table(o, depth)
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-    def flat_ints(self, lst: Any, depth: int) -> Optional[str]:
-        """The text of a non-empty list of exact ints, else None."""
-        key = (id(lst), depth)
-        text = self.flat.get(key)
-        if text is None:
-            for x in lst:
-                if type(x) is not int:
-                    return None
-            inner = "\n" + "  " * (depth + 1)
-            text = self.flat[key] = (
-                "[" + inner + ("," + inner).join(map(int.__repr__, lst)) + inner[:-2] + "]"
-            )
-        return text
-
-    def array(self, lst: Any, depth: int) -> str:
-        if not lst:
-            return "[]"
-        text = self.flat_ints(lst, depth)
-        if text is not None:
-            return text
-        d = depth + 1
-        inner = "\n" + "  " * d
-        return "[" + inner + ("," + inner).join([self.value(x, d) for x in lst]) + inner[:-2] + "]"
-
-    def table(self, rec: Records, depth: int) -> str:
-        slots = self.slots(rec, depth + 1) if rec.count else None
-        if slots is None:  # no rows, a mixed or unsupported column, or a huge int
-            return self.array(rec.rows(), depth)
-        inner = "\n" + "  " * (depth + 1)
-        return "[" + inner + ("," + inner).join(map("".join, zip(*slots))) + inner[:-2] + "]"
-
-    def slots(self, rec: Records, depth: int) -> Optional[list[Iterable[str]]]:
-        """One iterable per slot of a row's text at ``depth``, in order, or
-        None when a column cannot be laid out (see ``canonical_json``).
-
-        The slots are a ``repeat`` of the text before each column's cells,
-        then the cells, one per row (a nested ``Records`` gives its own
-        slots); ``"".join`` over the slots gives each row.
-        """
-        if not rec.columns:
-            return [repeat("{}", rec.count)]
-        inner = "\n" + "  " * (depth + 1)
-        glue, slots = "{" + inner, []
-        for key in sorted(rec.columns):
-            cells = rec.columns[key]
-            try:
-                cells = (self.slots if type(cells) is Records else self.column)(cells, depth + 1)
-            except ValueError:  # an int past sys.get_int_max_str_digits()
-                return None
-            if cells is None:
-                return None
-            slots.append(repeat(glue + _encode_str(key) + ": "))
-            slots += cells
-            glue = "," + inner
-        slots.append(repeat(inner[:-2] + "}", rec.count))
-        return slots
-
-    def column(self, cells: Any, depth: int) -> Optional[list[Iterable[str]]]:
-        """The slots of the values of one column, or None."""
-        kinds = {*map(type, cells)}
-        if len(kinds) != 1:
+    if not rec.columns:
+        return [repeat("{}", rec.count)]
+    inner = "\n" + "  " * (depth + 1)
+    glue, slots = "{" + inner, []
+    for key in sorted(rec.columns):
+        cells = rec.columns[key]
+        try:
+            cells = (_slots if type(cells) is Records else _column)(cells, depth + 1)
+        except (TypeError, ValueError):  # an unsupported cell, or an int too long
             return None
-        kind = kinds.pop()
-        if kind is str:
-            return [map(_encode_str, cells)]
-        if kind is int:
-            return [list(map(int.__repr__, cells))]
-        if kind is not list and kind is not tuple:
+        if cells is None:
             return None
-        # Census columns hold a few label vectors many times over.
-        distinct = dict(zip(map(id, cells), cells))
-        texts = {i: self.flat_ints(v, depth) if v else None for i, v in distinct.items()}
-        return None if None in texts.values() else [map(texts.__getitem__, map(id, cells))]
+        slots.append(repeat(glue + _encode_str(key) + ": "))
+        slots += cells
+        glue = "," + inner
+    slots.append(repeat(inner[:-2] + "}", rec.count))
+    return slots
 
-    def object(self, dct: dict, depth: int) -> str:
-        if not dct:
-            return "{}"
-        d = depth + 1
-        value, inner = self.value, "\n" + "  " * d
-        entries = [_encode_str(key) + ": " + value(v, d) for key, v in sorted(dct.items())]
-        return "{" + inner + ("," + inner).join(entries) + inner[:-2] + "}"
+
+def _column(cells: Any, depth: int) -> Optional[list[Iterable[str]]]:
+    """The slots of the values of one column, or None."""
+    kinds = {*map(type, cells)}
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is int:
+        return [list(map(int.__repr__, cells))]
+    if kind is not list and kind is not tuple:
+        return None
+    # Census columns hold a few label vectors many times over.  The column
+    # holds every cell, so an id names one cell while it is written.
+    distinct = dict(zip(map(id, cells), cells))
+    texts = {i: _array(v, depth) for i, v in distinct.items()}
+    return [map(texts.__getitem__, map(id, cells))]
 
 
 _DOCUMENT_KEYS = frozenset({"k", "dim_orbit", "faces", "covers", "lambda", "attestations"})

@@ -109,8 +109,9 @@ class FacePoset:
         edges = set()  # lower * n + upper, so that covers given twice count once
         for pair in covers:
             lo, hi = pair if type(pair) is tuple and len(pair) == 2 else _pair(pair, "cover")
-            i = index.get(lo)
-            j = index.get(hi)
+            # A non-str endpoint, hashable or not, names no face.
+            i = index.get(lo) if isinstance(lo, str) else None
+            j = index.get(hi) if isinstance(hi, str) else None
             if i is None or j is None:
                 raise PosetError(f"cover ({lo!r}, {hi!r}) references unknown face")
             if i == j:
@@ -147,9 +148,6 @@ class FacePoset:
     def covering(self, fid: str) -> tuple[str, ...]:
         """Faces covering fid: one codimension lower, containing it."""
         return tuple(map(self._ids.__getitem__, self.up[self._require(fid)]))
-
-    def covered_by(self, fid: str) -> tuple[str, ...]:
-        return tuple(map(self._ids.__getitem__, self.down[self._require(fid)]))
 
     def faces_of_codim(self, n: int) -> list[str]:
         return [f for f, c in zip(self._ids, self.codims) if c == n]
@@ -191,6 +189,11 @@ class FacePoset:
 
     def faces_per_codim(self) -> dict[int, int]:
         """The number of faces of each codimension, by increasing codimension."""
+        return dict(self.codim_counts)
+
+    @cached_property
+    def codim_counts(self) -> dict[int, int]:
+        """``faces_per_codim()``, counted once and shared: do not mutate."""
         return dict(sorted(Counter(self.codims).items()))
 
     @cached_property

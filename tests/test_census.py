@@ -526,6 +526,18 @@ def test_census_rejects_bad_spec():
         CensusSpec(square_poset(), 2, 1, budget=0)
 
 
+def test_census_rejects_counts_that_are_not_ints():
+    for bad in ({"k": 2.0}, {"k": "2"}, {"k": True}, {"entry_bound": 1.5},
+                {"entry_bound": False}, {"budget": 10.5}, {"budget": None}):
+        name, value = next(iter(bad.items()))
+        kwargs = {"k": 2, "entry_bound": 1, **bad}
+        with pytest.raises(CensusError, match=f"^{name} must be an int, got "):
+            CensusSpec(square_poset(), **kwargs)
+    # Int values keep their messages.
+    with pytest.raises(CensusError, match="^torus rank must be >= 1$"):
+        CensusSpec(square_poset(), 0, 1)
+
+
 def test_census_requires_valid_poset():
     bad = FacePoset([("T", 0), ("T2", 0)], [], 1)
     with pytest.raises(CensusError):

@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import lstorus.faceposet as faceposet
 from lstorus.charpair import (
     CharacteristicPair,
     relabel,
@@ -287,6 +289,30 @@ def test_hypotheses_and_conclusion():
     assert "needs" in verdict.conclusion
     assert not has_four_dim_faces(a)
     assert verdict.hypotheses["four_faces_vacuous"]
+
+
+def test_a_decision_counts_the_faces_per_codimension_once_per_poset(monkeypatch):
+    counts = []
+
+    def counting(*args):
+        counts.append(args)
+        return Counter(*args)
+
+    monkeypatch.setattr(faceposet, "Counter", counting)
+    cube, cp = cube_pair(3), cp_pair(2)
+    pairs = [(cube, cube), (cp, cp), (cp, cube)]
+    for a, b in pairs:
+        strong_equivalence(a, b)
+    assert len(counts) == 2  # one count per poset
+    for a, b in pairs:
+        strong_equivalence(a, b)
+        weak_equivalence(a, b)
+    assert len(counts) == 2
+    # The public count stays a fresh dict.
+    a = cube_pair(3)
+    counts_a = a.poset.faces_per_codim()
+    counts_a.clear()
+    assert a.poset.faces_per_codim() == {0: 1, 1: 6, 2: 12, 3: 8}
 
 
 def test_has_four_dim_faces_on_cubes():

@@ -32,9 +32,8 @@ def outcome(write, obj):
 
 
 def _reuse(x):
-    """One object at several depths and under several keys: the writer's
-    memo is keyed by identity and depth, so each reuse must still be laid
-    out at its own depth."""
+    """One object at several depths and under several keys: each reuse
+    must be laid out at its own depth."""
     return {"a": x, "b": [x, {"c": x, "d": (x,)}], "e": (x, x)}
 
 
@@ -89,8 +88,8 @@ _aliased_records = st.builds(
 )
 # A census label vector: one tuple shared by many rows of a column.
 _shared = (1, -2, 0)
-# The kinds of cells a Records column is drawn from: the three that are laid
-# out column by column, and mixed or unsupported ones.
+# The kinds of cells a Records column is drawn from: ints, lists and tuples,
+# which are laid out column by column, and strs, mixed or unsupported ones.
 _column_cells = st.sampled_from([
     st.integers(),
     _text,
@@ -158,19 +157,29 @@ def test_records_on_fixed_cases():
         Records(2, {"labels": Records(2, {}), "size": [1, 1]}),
         Records(3, {"labels": labels, "size": (1, 2, 3), "name": ["x", "y", "\ud800"]}),
         [labels, {"again": labels}],
-        # Mixed and unsupported columns, which are written row by row.
-        Records(2, {"a": [1, "1"]}), Records(2, {"a": [1.0, None]}), Records(2, {"a": [[], [1]]}),
-        Records(2, {"a": [{"x": 1}, {"x": 2}]}), Records(2, {"a": [Records(1, {}), 1]}),
-        Records(2, {"a": [(1, True), (2,)]}),
-        # An int too long to convert raises json's ValueError.
-        Records(2, {"a": [1, huge]}), Records(1, {"a": Records(1, {"b": [(huge,)]})}),
-        # The first error in document order wins.
-        Records(2, {"a": [1, huge], "b": [object(), 1]}),
+        # List columns of any cells, each distinct cell written once.
+        Records(2, {"a": [[], [1]]}), Records(2, {"a": [(1, True), (2,)]}),
+        Records(2, {"a": [[1.5, None], ["x"]]}), Records(2, {"a": [[[1]], [[2]]]}),
+        # One list object shared by two columns.
+        Records(2, {"a": [_shared, [0]], "b": ((2,), _shared)}),
+        # Str, mixed and unsupported columns, which are written row by row.
+        Records(2, {"a": ["x", "\ud800"]}), Records(2, {"a": [1, "1"]}),
+        Records(2, {"a": [1.0, None]}), Records(2, {"a": [{"x": 1}, {"x": 2}]}),
+        Records(2, {"a": [Records(1, {}), 1]}),
     ]
-    for obj in cases:
+    # An int too long to convert raises json's ValueError, and the first
+    # error in document order wins, wherever the columns sort.
+    errors = [
+        (Records(2, {"a": [1, huge]}), ValueError),
+        (Records(1, {"a": Records(1, {"b": [(huge,)]})}), ValueError),
+        (Records(2, {"a": [1, huge], "b": [object(), 1]}), TypeError),
+        (Records(2, {"a": [1, huge], "b": [[object()], [1]]}), TypeError),
+        (Records(2, {"a": [[1], [object()]], "b": [huge, 1]}), ValueError),
+    ]
+    for obj in cases + [obj for obj, _ in errors]:
         assert outcome(canonical_json, obj) == outcome(canonical_json_reference, obj), obj
-    assert outcome(canonical_json, cases[-3])[0] is ValueError
-    assert outcome(canonical_json, cases[-1])[0] is TypeError
+    for obj, error in errors:
+        assert outcome(canonical_json, obj)[0] is error, obj
     # A Records is no list: json.dumps without the oracle's default refuses it.
     with pytest.raises(TypeError, match="^Object of type Records is not JSON serializable$"):
         json.dumps(Records(1, {}))
@@ -209,7 +218,7 @@ def test_canonical_json_matches_json_dumps_on_fixed_cases():
     p = {"x": q}
     cases = [
         0, -0.0, "", [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, {"a": ()},
-        # Equal values of other types must not share a memoised text.
+        # Equal values of other types, and one list met twice.
         [[1, 1], [1, True], (1, 1.0), flat, (flat, [flat])],
         {"x": [1, True], "y": [1, 1], "z": (1, 1.0)},
         [0.5, math.nan, math.inf, -math.inf], {"n": math.nan},
@@ -262,13 +271,13 @@ def test_census_report_is_written_as_record_arrays(monkeypatch, capsys):
     """The 10,164 classes and their labels are written column by column:
     the per-value object writer runs only for the few dicts around them."""
     calls = []
-    per_value = documents._Writer.object
+    per_value = documents._object
 
-    def counted(self, dct, depth):
+    def counted(dct, depth):
         calls.append(depth)
-        return per_value(self, dct, depth)
+        return per_value(dct, depth)
 
-    monkeypatch.setattr(documents._Writer, "object", counted)
+    monkeypatch.setattr(documents, "_object", counted)
     argv = ["census", "--poset", str(FIXTURES / "prism.json"), "--k", "3", "--bound", "1",
             "--dedup", "none"]
     assert cli.main(argv) == 0
@@ -322,7 +331,7 @@ def test_reports_match_json_dumps(argv, capsys, monkeypatch, tmp_path):
     if argv[0] == "census":
         classes = report["classes"]
         assert type(classes) is Records and classes.count == report["class_count"]
-        # The labels are the census's own tuples, which the memo keys on.
+        # The labels are the census's own tuples, each written once per column.
         labels = classes.columns["labels"]
         assert all(type(v) is tuple for column in labels.columns.values() for v in column)
         if argv[-1] == "none":

@@ -123,6 +123,21 @@ def test_malformed_pairs_raise_poset_error_naming_the_entry(faces, covers):
         FacePoset(faces, covers, 1)
 
 
+@pytest.mark.parametrize("bad", [["a"], {"a": 1}, {"a"}])
+def test_unhashable_cover_endpoints_are_unknown_faces(bad):
+    for cover in ((bad, "b"), ("b", bad)):
+        with pytest.raises(PosetError, match=r"^cover \(.*\) references unknown face$"):
+            FacePoset([("a", 1), ("b", 0)], [cover], 2)
+
+
+def test_str_subclass_cover_endpoints_name_their_faces():
+    class Name(str):
+        pass
+
+    p = FacePoset([("a", 1), ("b", 0)], [(Name("a"), Name("b"))], 2)
+    assert p.covers() == {("a", "b")}
+
+
 def test_accessors_on_square():
     p = square_poset()
     assert p.facets() == ["E0", "E1", "E2", "E3"]
